@@ -31,7 +31,13 @@ from repro import (
     adult_like_task,
 )
 from repro.ml.data import train_validation_split
-from repro.slices import AutoSlicer, FeaturePredicate, SlicedDataset, partition_by_predicates
+from repro.slices import (
+    FeaturePredicate,
+    SlicedDataset,
+    get_discovery_method,
+    partition_by_predicates,
+)
+from repro.slices.methods.auto import label_entropy
 from repro.utils.tables import format_table
 
 #: The demographic encoding used by the synthetic generator: the slice
@@ -124,9 +130,13 @@ def main() -> None:
     # 4. Appendix A: let the automatic slicer propose finer unbiased slices.
     print()
     print("Automatic slicing of the White_Male slice (Appendix A):")
-    auto = AutoSlicer(max_depth=2, min_slice_size=50, entropy_threshold=0.45)
-    for leaf in auto.slice(slices["White_Male"]):
-        print(f"  {leaf.name}: {len(leaf.dataset)} examples, label entropy {leaf.entropy:.2f}")
+    auto = get_discovery_method(
+        "auto", max_depth=2, min_slice_size=50, entropy_threshold=0.45
+    )
+    leaves = auto.fit(None, slices["White_Male"]).transform(slices["White_Male"])
+    for name in leaves.names:
+        leaf = leaves[name].train
+        print(f"  {name}: {len(leaf)} examples, label entropy {label_entropy(leaf):.2f}")
 
 
 if __name__ == "__main__":

@@ -155,7 +155,6 @@ from repro.core import (
     AcquisitionPlan,
     AcquisitionStrategy,
     IterationRecord,
-    IterativeAlgorithm,
     OneShotAlgorithm,
     SelectiveAcquisitionProblem,
     SliceTuner,
@@ -249,7 +248,6 @@ __all__ = [
     "IterationRecord",
     "AcquisitionPlan",
     "OneShotAlgorithm",
-    "IterativeAlgorithm",
     "SelectiveAcquisitionProblem",
     "optimize_allocation",
     "uniform_allocation",

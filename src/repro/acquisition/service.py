@@ -20,9 +20,9 @@ path of the framework.  Strategies and sessions emit declarative
 Deliveries are consumed incrementally — the incremental-view-maintenance
 stance of the FO+MOD line of work: each fulfillment is an *update* applied
 to the run's state the moment it lands, rather than a world recomputed per
-blocking call.  ``acquire_batch`` in :mod:`repro.core.strategy_api` is a
-thin facade over this service, so every driver (sessions, the legacy
-iterative algorithm, the bandit) shares the same accounting.
+blocking call.  Every acquisition a :class:`~repro.core.session.TunerSession`
+makes — the minimum-size top-up and each proposed batch — goes through one
+per-run service, so all strategies share the same accounting.
 """
 
 from __future__ import annotations

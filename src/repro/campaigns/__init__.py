@@ -17,10 +17,8 @@ API:
 
 from repro.campaigns.campaign import (
     Campaign,
-    CampaignProgress,
     CampaignSpec,
     build_campaign_tuner,
-    campaign_progress,
     campaign_summary,
 )
 from repro.campaigns.scheduler import (
@@ -46,7 +44,6 @@ from repro.campaigns.store import (
 __all__ = [
     "Campaign",
     "CampaignEvent",
-    "CampaignProgress",
     "CampaignRecord",
     "CampaignScheduler",
     "CampaignSnapshot",
@@ -56,7 +53,6 @@ __all__ = [
     "SchedulerTick",
     "SqliteStore",
     "build_campaign_tuner",
-    "campaign_progress",
     "campaign_summary",
     "replay_events",
     "COMPLETED",

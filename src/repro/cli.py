@@ -107,7 +107,6 @@ from repro.campaigns import (
     CampaignScheduler,
     CampaignSpec,
     SqliteStore,
-    campaign_progress,
     campaign_summary,
     replay_events,
 )
@@ -1462,59 +1461,82 @@ def run_campaign_resume(args: argparse.Namespace) -> str:
     return _resume_campaigns(args, [args.campaign_id])
 
 
-def run_campaign_list(args: argparse.Namespace) -> str:
-    """``campaign list``: one row per stored campaign."""
-    with SqliteStore(args.store) as store:
-        if args.json_output:
-            # campaign_summary is the same serializer the daemon's
-            # ``GET /campaigns`` uses, so local and remote tooling share
-            # one parser.
-            return _json_output(
-                "repro.campaign.list/1",
-                {
-                    "store": args.store,
-                    "campaigns": [
-                        campaign_summary(store, record.campaign_id)
-                        for record in store.list_campaigns()
-                    ],
-                },
-            )
-        records = store.list_campaigns()
-        if not records:
-            return f"no campaigns in {args.store}"
-        rows = []
-        for record in records:
-            progress = campaign_progress(store, record.campaign_id)
-            rows.append(
-                [
-                    record.campaign_id,
-                    record.name,
-                    record.status,
-                    record.priority,
-                    progress.iterations,
-                    f"{progress.spent:.0f}/{progress.budget:.0f}",
-                    progress.generations,
-                ]
-            )
-    if args.quiet:
-        return "\n".join(f"{row[0]} {row[2]}" for row in rows)
+def _campaigns_table(campaigns: list[dict], quiet: bool, title: str) -> str:
+    """``campaign list`` / ``remote list`` text: one row per summary dict."""
+    if quiet:
+        return "\n".join(f"{c['campaign_id']} {c['status']}" for c in campaigns)
+    rows = [
+        [
+            c["campaign_id"],
+            c["name"],
+            c["status"],
+            c["priority"],
+            c["iterations"],
+            f"{c['spent']:.0f}/{c['budget']:.0f}",
+            c["generations"],
+        ]
+        for c in campaigns
+    ]
     return format_table(
         headers=["id", "name", "status", "lane", "iters", "spent/budget", "gens"],
         rows=rows,
-        title=f"Campaigns in {args.store}",
+        title=title,
     )
+
+
+def _campaign_header(summary: dict, spec: dict, progress: bool) -> str:
+    """``campaign show`` / ``remote show`` header: identity, status, spec."""
+    lines = [
+        f"campaign {summary['campaign_id']} ({summary['name']})",
+        f"status: {summary['status']} — lane {summary['priority']}, "
+        f"{summary['generations']} generation(s), "
+        f"{summary['fulfillments']} fulfillment(s)",
+    ]
+    if progress:
+        lines.append(
+            f"progress: {summary['iterations']} iteration(s), spent "
+            f"{summary['spent']:.2f}/{summary['budget']:.0f}"
+        )
+    lines.append("spec:")
+    lines.extend(f"  {key} = {value}" for key, value in sorted(spec.items()))
+    return "\n".join(lines) + "\n\n"
+
+
+def _show_quiet(summary: dict) -> str:
+    """One campaign as the quiet line ``campaign show`` / ``remote show`` print."""
+    return (
+        f"{summary['campaign_id']} {summary['status']} "
+        f"iterations={summary['iterations']} spent={summary['spent']:.2f}"
+    )
+
+
+def run_campaign_list(args: argparse.Namespace) -> str:
+    """``campaign list``: one row per stored campaign."""
+    with SqliteStore(args.store) as store:
+        # campaign_summary is the same fold the daemon's ``GET /campaigns``
+        # uses, so local and remote tooling share one parser.
+        campaigns = [
+            campaign_summary(store, record.campaign_id)
+            for record in store.list_campaigns()
+        ]
+    if args.json_output:
+        return _json_output(
+            "repro.campaign.list/1", {"store": args.store, "campaigns": campaigns}
+        )
+    if not campaigns:
+        return f"no campaigns in {args.store}"
+    return _campaigns_table(campaigns, args.quiet, f"Campaigns in {args.store}")
 
 
 def run_campaign_show(args: argparse.Namespace) -> str:
     """``campaign show``: replay one campaign's event log."""
     with SqliteStore(args.store) as store:
-        record = store.get_campaign(args.campaign_id)
-        progress = campaign_progress(store, args.campaign_id)
-        events = replay_events(store.events(args.campaign_id))
-        # Same serializer as the daemon's ``GET /campaigns/<id>`` payload.
+        # Same fold as the daemon's ``GET /campaigns/<id>`` payload.
         summary = campaign_summary(store, args.campaign_id)
+        spec = dict(store.get_campaign(args.campaign_id).spec)
+        events = replay_events(store.events(args.campaign_id))
     if args.json_output:
-        summary["spec"] = dict(record.spec)
+        summary["spec"] = spec
         return _json_output(
             "repro.campaign.show/1",
             {
@@ -1524,13 +1546,7 @@ def run_campaign_show(args: argparse.Namespace) -> str:
             },
         )
     if args.quiet:
-        return (
-            f"{record.campaign_id} {record.status} iterations={progress.iterations} "
-            f"spent={progress.spent:.2f}"
-        )
-    spec_lines = "\n".join(
-        f"  {key} = {value}" for key, value in sorted(record.spec.items())
-    )
+        return _show_quiet(summary)
     iteration_rows = [
         [
             event.iteration,
@@ -1542,22 +1558,14 @@ def run_campaign_show(args: argparse.Namespace) -> str:
         for event in events
         if event.kind == "iteration"
     ]
-    output = (
-        f"campaign {record.campaign_id} ({record.name})\n"
-        f"status: {record.status} — lane {record.priority}, "
-        f"{progress.generations} generation(s), "
-        f"{progress.fulfillments} fulfillment(s)\n"
-        f"spec:\n{spec_lines}\n\n"
-    )
-    output += format_table(
+    return _campaign_header(summary, spec, progress=False) + format_table(
         headers=["iteration", "generation", "acquired", "spent", "imbalance"],
         rows=iteration_rows,
         title=(
-            f"Replayed history — {progress.iterations} iteration(s), "
-            f"spent {progress.spent:.2f}/{progress.budget:.0f}"
+            f"Replayed history — {summary['iterations']} iteration(s), "
+            f"spent {summary['spent']:.2f}/{summary['budget']:.0f}"
         ),
     )
-    return output
 
 
 def run_campaign(args: argparse.Namespace) -> str:
@@ -2261,14 +2269,6 @@ def _remote_submit_spec(args: argparse.Namespace) -> dict:
     }
 
 
-def _remote_show_quiet(summary: dict) -> str:
-    """One campaign as the same quiet line ``campaign show --quiet`` prints."""
-    return (
-        f"{summary['campaign_id']} {summary['status']} "
-        f"iterations={summary['iterations']} spent={summary['spent']:.2f}"
-    )
-
-
 def run_remote(args: argparse.Namespace) -> str:
     """Dispatch for the ``remote`` family: thin clients over TunerClient."""
     client = TunerClient(args.url, timeout=args.timeout)
@@ -2286,7 +2286,7 @@ def run_remote(args: argparse.Namespace) -> str:
                     {"submitted": submitted, "campaign": summary,
                      "result": client.result(campaign_id)},
                 )
-            return _remote_show_quiet(summary)
+            return _show_quiet(summary)
         if args.json_output:
             return _json_output("repro.remote.submit/1", {"submitted": submitted})
         return (
@@ -2302,27 +2302,7 @@ def run_remote(args: argparse.Namespace) -> str:
             )
         if not campaigns:
             return f"no campaigns at {args.url}"
-        if args.quiet:
-            return "\n".join(
-                f"{c['campaign_id']} {c['status']}" for c in campaigns
-            )
-        rows = [
-            [
-                c["campaign_id"],
-                c["name"],
-                c["status"],
-                c["priority"],
-                c["iterations"],
-                f"{c['spent']:.0f}/{c['budget']:.0f}",
-                c["generations"],
-            ]
-            for c in campaigns
-        ]
-        return format_table(
-            headers=["id", "name", "status", "lane", "iters", "spent/budget", "gens"],
-            rows=rows,
-            title=f"Campaigns at {args.url}",
-        )
+        return _campaigns_table(campaigns, args.quiet, f"Campaigns at {args.url}")
 
     if command == "show":
         summary = client.show(args.campaign_id)
@@ -2332,20 +2312,10 @@ def run_remote(args: argparse.Namespace) -> str:
                 "repro.remote.show/1", {"campaign": summary, "stats": stats}
             )
         if args.quiet:
-            return _remote_show_quiet(summary)
-        spec_lines = "\n".join(
-            f"  {key} = {value}" for key, value in sorted(summary["spec"].items())
-        )
-        output = (
-            f"campaign {summary['campaign_id']} ({summary['name']})\n"
-            f"status: {summary['status']} — lane {summary['priority']}, "
-            f"{summary['generations']} generation(s), "
-            f"{summary['fulfillments']} fulfillment(s)\n"
-            f"progress: {summary['iterations']} iteration(s), spent "
-            f"{summary['spent']:.2f}/{summary['budget']:.0f}\n"
-            f"spec:\n{spec_lines}\n\n"
-        )
-        return output + server_stats_table(stats)
+            return _show_quiet(summary)
+        return _campaign_header(
+            summary, summary["spec"], progress=True
+        ) + server_stats_table(stats)
 
     if command == "tail":
         frames = []
@@ -2400,7 +2370,7 @@ def run_remote(args: argparse.Namespace) -> str:
         summary = client.wait(args.campaign_id, timeout=args.timeout)
         if args.json_output:
             return _json_output("repro.remote.wait/1", {"campaign": summary})
-        return _remote_show_quiet(summary)
+        return _show_quiet(summary)
 
     if command == "pause":
         outcome = client.pause(args.campaign_id)

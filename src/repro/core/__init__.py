@@ -14,12 +14,13 @@ The pieces, bottom-up:
 * :mod:`~repro.core.strategies` — Conservative / Moderate / Aggressive
   schedules for the imbalance-ratio change limit ``T``.
 * :mod:`~repro.core.oneshot` / :mod:`~repro.core.iterative` — the One-shot
-  algorithm and Algorithm 1 (iterative updates).
+  algorithm and Algorithm 1 (iterative updates) as acquisition strategies.
 * :mod:`~repro.core.strategy_api` / :mod:`~repro.core.registry` — the
   pluggable :class:`AcquisitionStrategy` protocol and the string-keyed
   registry every method resolves through.
-* :mod:`~repro.core.session` — :class:`TunerSession`, the streaming
-  propose-acquire-refit loop with hooks, early stops, and checkpoints.
+* :mod:`~repro.core.session` — :class:`TunerSession`, the one driver of
+  every strategy: the streaming propose-acquire-refit loop with hooks,
+  early stops, and checkpoints.
 * :mod:`~repro.core.tuner` — :class:`SliceTuner`, the end-to-end orchestrator
   of Figure 4: estimate curves, optimize, acquire, repeat, evaluate.
 """
@@ -31,7 +32,7 @@ from repro.core.baselines import (
     water_filling_allocation,
 )
 from repro.core.imbalance import get_change_ratio, imbalance_ratio
-from repro.core.iterative import IterativeAlgorithm, ScheduledIterativeStrategy
+from repro.core.iterative import ScheduledIterativeStrategy
 from repro.core.oneshot import OneShotAlgorithm, OneShotStrategy
 from repro.core.optimizer import (
     OptimizationResult,
@@ -79,7 +80,6 @@ __all__ = [
     "AggressiveStrategy",
     "make_strategy",
     "OneShotAlgorithm",
-    "IterativeAlgorithm",
     "AcquisitionPlan",
     "IterationRecord",
     "TuningResult",

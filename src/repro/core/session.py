@@ -66,11 +66,7 @@ from repro.acquisition.service import AcquisitionService
 from repro.acquisition.source import DiscoverySource
 from repro.core.plan import AcquisitionPlan, IterationRecord, TuningResult
 from repro.core.registry import get_strategy
-from repro.core.strategy_api import (
-    AcquisitionStrategy,
-    TunerState,
-    top_up_minimum_sizes,
-)
+from repro.core.strategy_api import AcquisitionStrategy, TunerState
 from repro.engine.factories import describe_factory
 from repro.engine.job import TrainingJob, stable_seed
 from repro.slices.discovery import get_discovery_method
@@ -555,8 +551,13 @@ class TunerSession:
                     if stop:
                         return
 
+            # A non-iterative strategy gets exactly one main iteration.  The
+            # bound lives in the loop condition so that a run resumed after
+            # that iteration stops as well.
             max_iterations = (
                 strategy.iteration_cap or tuner.config.max_iterations
+                if strategy.is_iterative
+                else 1
             )
             while run.iteration < max_iterations:
                 if strategy.is_iterative:
@@ -606,7 +607,7 @@ class TunerSession:
                 self._fire("iteration", record)
                 stop = finish(record)
                 yield record
-                if stop or not keep_going or not strategy.is_iterative:
+                if stop or not keep_going:
                     break
             result.spent = state.ledger.spent
         finally:
@@ -759,24 +760,36 @@ class TunerSession:
         return record
 
     def _top_up_minimum_sizes(self, run: _RunContext) -> IterationRecord | None:
-        """Top every slice up to ``min_slice_size``; None when nothing to do."""
+        """Steps 3-6 of Algorithm 1: top every slice up to ``min_slice_size``.
+
+        Acquires through the run's service (so fulfillments are logged and
+        streamed) and returns the iteration-0 record, or None when no slice
+        needed topping up.
+        """
         state = run.state
         record = IterationRecord(iteration=0, limit=run.strategy.current_limit)
         record.imbalance_before = state.sliced.imbalance_ratio()
         spent_before = state.ledger.spent
-        delivered_by_slice = top_up_minimum_sizes(
-            state.sliced,
-            state.source,
-            state.cost_model,
-            state.ledger,
-            self.tuner.config.min_slice_size,
-            record,
-            service=state.service,
-        )
-        for name, delivered in delivered_by_slice.items():
+        topped_up = False
+        for name in state.sliced.names:
+            deficit = self.tuner.config.min_slice_size - state.sliced[name].size
+            if deficit <= 0:
+                continue
+            unit_cost = state.cost_model.cost(name)
+            affordable = min(deficit, state.ledger.affordable_count(unit_cost))
+            if affordable <= 0:
+                continue
+            record.requested[name] = affordable
+            fulfillment = state.service.acquire(
+                name, affordable, tag="min_slice_size"
+            )
+            delivered = fulfillment.delivered_count
+            record.acquired[name] = record.acquired.get(name, 0) + delivered
+            record.fulfillments.append(fulfillment.summary())
             run.result.total_acquired[name] = (
                 run.result.total_acquired.get(name, 0) + delivered
             )
+            topped_up = True
         record.imbalance_after = state.sliced.imbalance_ratio()
         record.spent = state.ledger.spent - spent_before
-        return record if delivered_by_slice else None
+        return record if topped_up else None

@@ -73,17 +73,17 @@ class TunerState:
         The model family and hyperparameters used for evaluations, available
         to strategies that measure their own rewards (e.g. the bandit).
     executor:
-        The run's :class:`~repro.engine.executor.Executor` (None for legacy
-        drivers).  Strategies with several independent trainings to run
-        should batch them into :class:`~repro.engine.job.TrainingJob` specs
-        and submit them here rather than looping over ``Trainer.fit``.
+        The run's :class:`~repro.engine.executor.Executor`.  Strategies
+        with several independent trainings to run should batch them into
+        :class:`~repro.engine.job.TrainingJob` specs and submit them here
+        rather than looping over ``Trainer.fit``.
         (The :meth:`train_model` helper below predates the engine and still
         trains inline on the shared RNG stream.)
     service:
-        The run's :class:`~repro.acquisition.service.AcquisitionService`
-        (None for legacy drivers).  Strategies may inspect its fulfillment
-        history (``service.fulfillments``, ``service.shortfall_by_slice()``)
-        or routed availability (``service.available(name)``); actually
+        The run's :class:`~repro.acquisition.service.AcquisitionService`.
+        Strategies may inspect its fulfillment history
+        (``service.fulfillments``, ``service.shortfall_by_slice()``) or
+        routed availability (``service.available(name)``); actually
         acquiring and charging stays the session's job.
     rng:
         The run's random generator.
@@ -223,72 +223,6 @@ class AcquisitionStrategy:
 
     def load_state_dict(self, state: Mapping) -> None:
         """Restore run state captured by :meth:`state_dict`."""
-
-
-def acquire_batch(
-    sliced: "SlicedDataset",
-    source: "DataSource",
-    cost_model: "CostModel",
-    ledger: "BudgetLedger",
-    name: str,
-    count: int,
-) -> int:
-    """Acquire ``count`` examples for one slice, updating all bookkeeping.
-
-    A thin facade over :class:`~repro.acquisition.service.AcquisitionService`
-    kept for the legacy drivers (:class:`~repro.core.iterative.
-    IterativeAlgorithm`, the bandit acquirer) and for user code written
-    against the PR-1 API: one request in, one fulfillment out, with the
-    ledger and cost model charged for what was actually *delivered* — an
-    exhausted pool or a lossy crowdsourcing campaign never debits phantom
-    examples.  Returns the delivered count.  The session holds a per-run
-    service instead, so its fulfillments accumulate and stream as events.
-    """
-    service = AcquisitionService(
-        source, cost_model=cost_model, ledger=ledger, sliced=sliced
-    )
-    return service.acquire(name, count).delivered_count
-
-
-def top_up_minimum_sizes(
-    sliced: "SlicedDataset",
-    source: "DataSource",
-    cost_model: "CostModel",
-    ledger: "BudgetLedger",
-    min_slice_size: int,
-    record: IterationRecord,
-    service: AcquisitionService | None = None,
-) -> dict[str, int]:
-    """Steps 3-6 of Algorithm 1: top every slice up to ``min_slice_size``.
-
-    Fills ``record.requested``/``record.acquired`` per topped-up slice and
-    returns the delivered counts (empty when no slice needed topping up).
-    Shared by :class:`~repro.core.session.TunerSession` (which passes its
-    per-run ``service`` so fulfillments are logged and streamed) and the
-    legacy :class:`~repro.core.iterative.IterativeAlgorithm` (which lets an
-    ephemeral service be built from the raw parts).
-    """
-    if service is None:
-        service = AcquisitionService(
-            source, cost_model=cost_model, ledger=ledger, sliced=sliced
-        )
-    delivered_by_slice: dict[str, int] = {}
-    for name in sliced.names:
-        deficit = min_slice_size - sliced[name].size
-        if deficit <= 0:
-            continue
-        unit_cost = cost_model.cost(name)
-        affordable = min(deficit, ledger.affordable_count(unit_cost))
-        if affordable <= 0:
-            continue
-        record.requested[name] = affordable
-        fulfillment = service.acquire(name, affordable, tag="min_slice_size")
-        record.acquired[name] = (
-            record.acquired.get(name, 0) + fulfillment.delivered_count
-        )
-        record.fulfillments.append(fulfillment.summary())
-        delivered_by_slice[name] = fulfillment.delivered_count
-    return delivered_by_slice
 
 
 def annotate_plan(

@@ -86,6 +86,10 @@ class ResultCache(Protocol):
         """Store ``result`` under ``fingerprint``."""
         ...
 
+    def stats_snapshot(self) -> dict[str, Any]:
+        """All counters in one consistent read (the ``/stats`` cache block)."""
+        ...
+
 
 class InMemoryResultCache:
     """LRU-bounded in-memory :class:`ResultCache`.

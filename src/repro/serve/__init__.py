@@ -19,13 +19,12 @@ pieces on top of the campaign subsystem:
   client the CLI ``remote`` commands and the tests drive the daemon with.
 """
 
-from repro.serve.app import ServerStats, TunerService
+from repro.serve.app import TunerService
 from repro.serve.client import TunerClient
 from repro.serve.server import TunerServer
 from repro.serve.stream import format_sse_event, parse_sse_stream
 
 __all__ = [
-    "ServerStats",
     "TunerClient",
     "TunerServer",
     "TunerService",

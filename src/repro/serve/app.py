@@ -9,7 +9,9 @@
   boundaries, so serving never perturbs campaign numbers;
 * one :class:`~repro.campaigns.store.CampaignStore` (thread-safe since the
   serve PR) holding every campaign's event log and snapshots;
-* a :class:`ServerStats` counter block surfaced by ``GET /stats`` and
+* a per-service :class:`~repro.telemetry.MetricsRegistry` of
+  ``serve.<name>`` counters (:data:`SERVE_COUNTERS`), surfaced by
+  ``GET /stats``, ``GET /metrics`` and
   :func:`repro.experiments.reporting.server_stats_table`.
 
 Shutdown is a *drain*: :meth:`TunerService.drain` stops the pump, then
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.analytics import Analytics
@@ -55,49 +56,16 @@ from repro.utils.exceptions import CampaignError, ConfigurationError
 TERMINAL_STATUSES = (COMPLETED, FAILED, PAUSED)
 
 
-@dataclass
-class ServerStats:
-    """Thread-safe counters of everything the daemon has served so far.
-
-    Backed by a per-service :class:`~repro.telemetry.MetricsRegistry`
-    (instruments render as ``serve.<counter>``), so :meth:`snapshot` is a
-    single-lock atomic read — no counter in one snapshot can be mid-update
-    relative to another — and ``GET /metrics`` can merge these counters
-    with the process-wide registry.  Per-instance rather than process-wide
-    so two services in one process (or test) never share counts.
-    """
-
-    started_at: float = field(default_factory=time.time)
-
-    _COUNTERS = (
-        "requests",
-        "campaigns_submitted",
-        "sse_connections",
-        "events_streamed",
-        "reports_served",
-        "errors",
-    )
-
-    def __post_init__(self) -> None:
-        self.registry = MetricsRegistry()
-        for name in self._COUNTERS:
-            self.registry.counter(f"serve.{name}")
-
-    def count(self, counter: str, amount: int = 1) -> None:
-        """Atomically bump one of the counters by ``amount``."""
-        if counter not in self._COUNTERS:
-            raise AttributeError(f"unknown server counter {counter!r}")
-        self.registry.counter(f"serve.{counter}").inc(amount)
-
-    def snapshot(self) -> dict[str, Any]:
-        """A point-in-time copy, as plain JSON-compatible values."""
-        counters = self.registry.snapshot()["counters"]
-        payload: dict[str, Any] = {
-            "uptime_seconds": round(time.time() - self.started_at, 3)
-        }
-        for name in self._COUNTERS:
-            payload[name] = counters.get(f"serve.{name}", 0)
-        return payload
+#: The daemon's own counters, registered as ``serve.<name>`` instruments and
+#: reported (in this order, after ``uptime_seconds``) by ``GET /stats``.
+SERVE_COUNTERS = (
+    "requests",
+    "campaigns_submitted",
+    "sse_connections",
+    "events_streamed",
+    "reports_served",
+    "errors",
+)
 
 
 class TunerService:
@@ -130,7 +98,14 @@ class TunerService:
                 result_cache if result_cache is not None else InMemoryResultCache()
             ),
         )
-        self.stats = ServerStats()
+        # Per-instance rather than process-wide, so two services in one
+        # process (or test) never share counts; one registry lock makes a
+        # snapshot atomic, and ``GET /metrics`` merges it with the
+        # process-wide registry.
+        self.metrics = MetricsRegistry()
+        for name in SERVE_COUNTERS:
+            self.metrics.counter(f"serve.{name}")
+        self.started_at = time.time()
         self.poll_interval = float(poll_interval)
         self._activity = threading.Condition()
         self._tick_seq = 0
@@ -163,7 +138,7 @@ class TunerService:
         self._closing.set()
         self._notify()
         suspended = self.scheduler.drain()
-        return {"suspended": suspended, "stats": self.stats.snapshot()}
+        return {"suspended": suspended, "stats": self._served_counts()}
 
     def close(self) -> None:
         """Drain (if not already) and release the store."""
@@ -211,7 +186,7 @@ class TunerService:
             if campaign is None:  # pragma: no cover - defensive
                 raise
             reused = True
-        self.stats.count("campaigns_submitted")
+        self.metrics.counter("serve.campaigns_submitted").inc()
         self._notify()
         return {
             "campaign_id": campaign.campaign_id,
@@ -335,7 +310,7 @@ class TunerService:
                 self._analytics = Analytics(self.store)
             self._analytics.refresh()
             payload = self._analytics.report(kind, campaign_id)
-        self.stats.count("reports_served")
+        self.metrics.counter("serve.reports_served").inc()
         return payload
 
     # -- live-activity plumbing (SSE) --------------------------------------------
@@ -372,6 +347,18 @@ class TunerService:
             return self._last_ticks.get(campaign_id)
 
     # -- stats -------------------------------------------------------------------
+    def uptime_seconds(self) -> float:
+        """Seconds since the service was built (rounded to milliseconds)."""
+        return round(time.time() - self.started_at, 3)
+
+    def _served_counts(self) -> dict[str, Any]:
+        """Uptime plus every :data:`SERVE_COUNTERS` value, from one snapshot."""
+        counters = self.metrics.snapshot()["counters"]
+        payload: dict[str, Any] = {"uptime_seconds": self.uptime_seconds()}
+        for name in SERVE_COUNTERS:
+            payload[name] = counters[f"serve.{name}"]
+        return payload
+
     def server_stats(self) -> dict[str, Any]:
         """Everything ``GET /stats`` reports (health + workload + cache)."""
         by_status: dict[str, int] = {}
@@ -379,7 +366,7 @@ class TunerService:
             by_status[record.status] = by_status.get(record.status, 0) + 1
         total = sum(by_status.values())
         active = total - by_status.get(COMPLETED, 0) - by_status.get(FAILED, 0)
-        stats: dict[str, Any] = self.stats.snapshot()
+        stats = self._served_counts()
         stats.update(
             {
                 "scheduler_steps": self.scheduler.steps,
@@ -396,20 +383,8 @@ class TunerService:
         if cache is not None:
             # One snapshot: a disk-backed cache computes its stats per read
             # (aggregated across every process sharing the file), so four
-            # separate reads could straddle a concurrent update.  Built-in
-            # caches expose a single-lock stats_snapshot(); custom caches
-            # fall back to the four-attribute read.
-            snapshot_fn = getattr(cache, "stats_snapshot", None)
-            if snapshot_fn is not None:
-                cache_stats = dict(snapshot_fn())
-            else:
-                snapshot = cache.stats
-                cache_stats = {
-                    "requests": snapshot.requests,
-                    "hits": snapshot.hits,
-                    "misses": snapshot.misses,
-                    "evictions": snapshot.evictions,
-                }
+            # separate reads could straddle a concurrent update.
+            cache_stats = dict(cache.stats_snapshot())
             cache_stats["persistent"] = hasattr(cache, "tier_stats")
             stats["cache"] = cache_stats
         return stats
@@ -418,12 +393,10 @@ class TunerService:
         """One merged metrics snapshot: process registry + server counters.
 
         Backs ``GET /metrics``.  The process-wide registry carries the
-        engine/acquisition/session instruments; the service's
-        :class:`ServerStats` registry carries the HTTP counters.
+        engine/acquisition/session instruments; the service's own
+        :attr:`metrics` registry carries the HTTP counters.
         """
-        return merge_snapshots(
-            get_registry().snapshot(), self.stats.registry.snapshot()
-        )
+        return merge_snapshots(get_registry().snapshot(), self.metrics.snapshot())
 
     def health_deep(self) -> dict[str, Any]:
         """Per-component health verdicts (the ``GET /health/deep`` body).

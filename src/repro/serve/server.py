@@ -152,7 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _dispatch(self, method: str) -> None:
-        self.app.stats.count("requests")
+        self.app.metrics.counter("serve.requests").inc()
         path = self.path.split("?", 1)[0]
         for route_method, pattern, attr in _ROUTES:
             if route_method != method:
@@ -170,7 +170,7 @@ class _Handler(BaseHTTPRequestHandler):
                 except (BrokenPipeError, ConnectionResetError):
                     pass  # the client went away mid-response; nothing to send
                 except Exception as error:  # noqa: BLE001 - mapped to a status
-                    self.app.stats.count("errors")
+                    self.app.metrics.counter("serve.errors").inc()
                     status = _status_for(error)
                     span.set_attribute("status_code", status)
                     self._send_json({"error": str(error)}, status=status)
@@ -190,7 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(
             {
                 "status": "draining" if self.app.closing else "ok",
-                "uptime_seconds": self.app.stats.snapshot()["uptime_seconds"],
+                "uptime_seconds": self.app.uptime_seconds(),
             }
         )
 
@@ -280,7 +280,7 @@ class _Handler(BaseHTTPRequestHandler):
         # run until the first frame is pulled).
         self.app.store.get_campaign(campaign_id)
         frames = stream_campaign_events(self.app, campaign_id, after=after)
-        self.app.stats.count("sse_connections")
+        self.app.metrics.counter("serve.sse_connections").inc()
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
@@ -291,7 +291,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(frame.encode("utf-8"))
             self.wfile.flush()
             if not frame.startswith(":"):
-                self.app.stats.count("events_streamed")
+                self.app.metrics.counter("serve.events_streamed").inc()
         self.close_connection = True
 
 

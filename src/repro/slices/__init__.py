@@ -6,14 +6,13 @@ the slices partition the dataset.  The central container is
 training data, per-slice validation data, and per-slice acquisition cost, and
 is the object the Slice Tuner core operates on.
 
-Slices can be *given* (the paper's setting), produced by the Appendix-A
-:class:`~repro.slices.auto_slicer.AutoSlicer`, or *discovered* from model
-behaviour through the pluggable :mod:`~repro.slices.discovery` registry
-(``get_discovery_method`` / ``available_discovery_methods``), whose built-in
-methods live in :mod:`~repro.slices.methods`.
+Slices can be *given* (the paper's setting) or *discovered* through the
+pluggable :mod:`~repro.slices.discovery` registry (``get_discovery_method`` /
+``available_discovery_methods``): the Appendix-A entropy slicer
+(``"auto"``) or one of the model-error driven methods, all of which live in
+:mod:`~repro.slices.methods`.
 """
 
-from repro.slices.auto_slicer import AutoSlicer, SliceCandidate
 from repro.slices.discovery import (
     SliceDiscoveryMethod,
     available_discovery_methods,
@@ -38,8 +37,6 @@ __all__ = [
     "SlicedDataset",
     "FeaturePredicate",
     "partition_by_predicates",
-    "AutoSlicer",
-    "SliceCandidate",
     "SliceDiscoveryMethod",
     "register_discovery_method",
     "unregister_discovery_method",

@@ -29,8 +29,7 @@ lazily on first lookup, exactly like acquisition strategies:
 * ``"stump"`` — error-driven feature-threshold rule induction (decision
   stumps over the misclassification indicator),
 * ``"kmeans"`` — error-aware k-means clustering in feature space,
-* ``"auto"`` — the Appendix-A :class:`~repro.slices.auto_slicer.AutoSlicer`
-  adapted onto the protocol.
+* ``"auto"`` — the Appendix-A label-entropy recursive slicer.
 """
 
 from __future__ import annotations

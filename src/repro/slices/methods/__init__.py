@@ -10,7 +10,7 @@ an explicit import).
 * :mod:`~repro.slices.methods.kmeans` — ``"kmeans"``: error-aware k-means
   in feature space.
 * :mod:`~repro.slices.methods.auto` — ``"auto"``: the Appendix-A
-  :class:`~repro.slices.auto_slicer.AutoSlicer` on the discovery protocol.
+  label-entropy recursive slicer.
 """
 
 from repro.slices.methods.auto import AutoSliceDiscovery

@@ -13,8 +13,8 @@ Every instrument shares its registry's lock, so
 :meth:`MetricsRegistry.snapshot` is a point-in-time atomic read — no
 counter in the snapshot can be mid-update relative to another.  That
 single-lock snapshot is the repo-wide answer to torn ``/stats`` reads
-(:class:`~repro.serve.app.ServerStats` and the cache counters build their
-JSON surfaces on it).
+(the tuner service's ``serve.*`` counters and the cache counters build
+their JSON surfaces on it).
 
 Snapshots are plain JSON dicts and **mergeable**:
 :meth:`MetricsRegistry.merge` folds one snapshot into a live registry —

@@ -11,7 +11,7 @@ from repro.campaigns import (
     CampaignSpec,
     InMemoryStore,
     SqliteStore,
-    campaign_progress,
+    campaign_summary,
 )
 from repro.utils.exceptions import CampaignError, ConfigurationError
 
@@ -101,11 +101,11 @@ class TestRunAndPersist:
         store = InMemoryStore()
         campaign = Campaign.start(store, fast_spec())
         result = campaign.run()
-        progress = campaign_progress(store, campaign.campaign_id)
-        assert progress.iterations == result.n_iterations
-        assert progress.spent == pytest.approx(result.spent)
-        assert progress.acquired == result.total_acquired
-        assert progress.status == COMPLETED
+        summary = campaign_summary(store, campaign.campaign_id)
+        assert summary["iterations"] == result.n_iterations
+        assert summary["spent"] == pytest.approx(result.spent)
+        assert summary["acquired"] == result.total_acquired
+        assert summary["status"] == COMPLETED
 
     def test_result_before_completion_rejected(self):
         campaign = Campaign.start(InMemoryStore(), fast_spec())
@@ -144,6 +144,24 @@ class TestPauseAndResume:
         result = resumed.run()
         assert result.to_json() == expected.to_json()
 
+    def test_resumed_one_shot_campaign_runs_one_iteration(self):
+        # A one-shot strategy paused after its only iteration must not run a
+        # second one when resumed.
+        from repro.experiments.runner import default_campaign_specs
+
+        spec = next(
+            s for s in default_campaign_specs(0) if s.method == "uniform"
+        )
+        expected = baseline_result(spec)
+        assert expected.n_iterations == 1
+
+        store = InMemoryStore()
+        first = Campaign.start(store, spec)
+        assert first.run(max_steps=1) is None
+        result = Campaign.resume(store, first.campaign_id).run()
+        assert result.n_iterations == 1
+        assert result.to_json() == expected.to_json()
+
     def test_crash_between_snapshots_reexecutes_the_tail(self, tmp_path):
         # checkpoint_every=2 → the crash point (after 3 advances) has events
         # for iterations 1-3 but a snapshot only at iteration 2; resume must
@@ -168,10 +186,10 @@ class TestPauseAndResume:
         assert result.to_json() == expected.to_json()
         # The re-executed iteration 3 was appended under a newer generation,
         # and replay collapses the log back to one consistent history.
-        progress = campaign_progress(reopened, spec.campaign_id())
-        assert progress.iterations == expected.n_iterations
-        assert progress.spent == pytest.approx(expected.spent)
-        assert progress.generations == 2
+        summary = campaign_summary(reopened, spec.campaign_id())
+        assert summary["iterations"] == expected.n_iterations
+        assert summary["spent"] == pytest.approx(expected.spent)
+        assert summary["generations"] == 2
         reopened.close()
 
     def test_resume_restores_provider_state(self):

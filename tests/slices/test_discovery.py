@@ -5,8 +5,8 @@ The load-bearing guarantees tested here:
 * every built-in method is **seeded and deterministic** — two fits on the
   same data with the same config produce byte-identical slice specs and the
   same content fingerprint;
-* the ``"auto"`` method is a faithful port of the legacy
-  :class:`~repro.slices.auto_slicer.AutoSlicer` (same leaves, same names);
+* the ``"auto"`` method's partition of a fixed pool is pinned (same leaves,
+  same names, same fingerprint);
 * ``transform`` produces a valid partition (no overlap, full coverage) and
   preserves every row;
 * a dynamic (``reslice_every``) tuner run is byte-identical across the
@@ -24,7 +24,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import prepare_named_instance
 from repro.curves.estimator import default_model_factory
 from repro.ml.train import Trainer
-from repro.slices.auto_slicer import AutoSlicer
 from repro.slices.discovery import (
     SliceDiscoveryMethod,
     available_discovery_methods,
@@ -158,15 +157,31 @@ def test_model_dependent_methods_need_model_or_predictions(
         method.fit(None, tiny_sliced.combined_train())
 
 
-def test_auto_method_matches_legacy_auto_slicer(tiny_sliced):
+#: The ``"auto"`` partition of ``tiny_sliced``'s training pool, recorded when
+#: the method was the only entropy slicer left: leaf names (in region order),
+#: rows per leaf, and the boundary fingerprint.
+AUTO_PINNED_LEAVES = (
+    ("root/x0>2.314/x3>-0.035", 20),
+    ("root/x0>2.314/x3<=-0.035", 20),
+    ("root/x0<=2.314/x1>1.646/x2>0.268", 20),
+    ("root/x0<=2.314/x1>1.646/x2<=0.268", 20),
+    ("root/x0<=2.314/x1<=1.646/x1>-0.408", 20),
+    ("root/x0<=2.314/x1<=1.646/x1<=-0.408", 20),
+)
+AUTO_PINNED_FINGERPRINT = (
+    "76a8f01ec6e4d7addbcf666c921b3ccfb9e09f72e6a843a62abeec8aa0dd9dfc"
+)
+
+
+def test_auto_method_partition_is_pinned(tiny_sliced):
     pool = tiny_sliced.combined_train()
     kwargs = dict(max_depth=3, min_slice_size=20, entropy_threshold=0.2)
-    legacy = AutoSlicer(**kwargs).slice_as_mapping(pool)
     method = get_discovery_method("auto", **kwargs)
     discovered = method.fit(None, pool).transform(pool)
-    assert list(discovered.names) == list(legacy)
-    for name in legacy:
-        assert len(discovered[name].train) == len(legacy[name])
+    assert tuple(
+        (name, len(discovered[name].train)) for name in discovered.names
+    ) == AUTO_PINNED_LEAVES
+    assert method.fingerprint() == AUTO_PINNED_FINGERPRINT
 
 
 # -- transform ---------------------------------------------------------------------
