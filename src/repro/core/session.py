@@ -463,7 +463,17 @@ class TunerSession:
             ledger=ledger,
             sliced=tuner.sliced,
         )
-        service.add_callback(lambda fulfillment: self._fire("fulfillment", fulfillment))
+        # The callback holds the hook list, not the session: session -> state
+        # -> service -> callback -> session would be a reference cycle that
+        # keeps each finished run's datasets alive until the cyclic
+        # collector next runs.
+        hooks = self._hooks["fulfillment"]
+
+        def fire(fulfillment: Fulfillment) -> None:
+            for hook in hooks:
+                hook(fulfillment)
+
+        service.add_callback(fire)
         return TunerState(
             sliced=tuner.sliced,
             source=tuner.source,

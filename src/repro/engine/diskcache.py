@@ -52,7 +52,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.engine.cache import CacheStats, CurveCache, _CurveEntry, pool_fingerprints
-from repro.engine.job import JobResult, TrainingJob, run_training_job
+from repro.engine.job import JobResult, TrainingJob, run_training_jobs
 from repro.utils.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Version tag stored with every serialized training result.  Bump it when
 #: the :class:`~repro.engine.job.JobResult` layout changes; old entries then
 #: degrade to misses instead of deserializing into garbage.
-RESULT_SCHEMA = "repro.jobresult/1"
+RESULT_SCHEMA = "repro.jobresult/2"
 
 #: Version tag stored with every serialized fitted curve.
 CURVE_SCHEMA = "repro.curve/1"
@@ -462,18 +462,19 @@ class SqliteResultCache:
         return curve
 
     # -- executor integration -----------------------------------------------------
-    def worker_runner(self) -> Callable[[TrainingJob], JobResult]:
-        """A picklable job runner that shares this cache file across workers.
+    def worker_runner(self) -> Callable[[list[TrainingJob]], list[JobResult]]:
+        """A picklable chunk runner that shares this cache file across workers.
 
-        :class:`~repro.engine.executor.ProcessPoolExecutor` maps it over the
-        cache-missed jobs: each worker process opens its own read/write
-        connection to the same WAL file, re-checks the fingerprint (another
-        process may have trained it since the parent's miss), and persists
-        fresh results immediately — so no cross-process result is ever
-        retrained, and a training that finished before ``kill -9`` survives
+        :class:`~repro.engine.executor.ProcessPoolExecutor` maps it over
+        chunks of cache-missed jobs: each worker process opens its own
+        read/write connection to the same WAL file, re-checks every job's
+        fingerprint (another process may have trained it since the parent's
+        miss), trains the rest together, and persists each fresh result as
+        soon as its chunk finishes — so no cross-process result is ever
+        retrained, and a chunk that finished before ``kill -9`` survives
         for whoever runs next.
         """
-        return functools.partial(run_training_job_shared, self.path)
+        return functools.partial(run_training_jobs_shared, self.path)
 
     # -- internals ----------------------------------------------------------------
     def _decode_result(self, fingerprint: str, row: tuple) -> JobResult | None:
@@ -541,25 +542,32 @@ def _worker_cache(path: str) -> SqliteResultCache:
     return cache
 
 
-def run_training_job_shared(path: str, job: TrainingJob) -> JobResult:
-    """Worker-side job execution against the shared cache at ``path``.
+def run_training_jobs_shared(path: str, jobs: list[TrainingJob]) -> list[JobResult]:
+    """Worker-side execution of a chunk against the shared cache at ``path``.
 
     Module-level (and bound to a plain path via :func:`functools.partial`)
-    so it pickles across the process-pool boundary.  The re-check lookup
-    passes ``count_miss=False`` — the parent already counted this job's
-    miss, so only the cross-process hits it discovers add to the shared
+    so it pickles across the process-pool boundary.  Every job is
+    re-checked and every fresh result stored on its own; the re-check
+    lookups pass ``count_miss=False`` — the parent already counted these
+    misses, so only the cross-process hits they discover add to the shared
     counters.
     """
     cache = _worker_cache(path)
-    hit = cache.get(job.fingerprint, count_miss=False)
-    if hit is not None:
+    results: list[JobResult | None] = [None] * len(jobs)
+    misses = []
+    for index, job in enumerate(jobs):
+        hit = cache.get(job.fingerprint, count_miss=False)
+        if hit is None:
+            misses.append(index)
+            continue
         hit.tag = job.tag
         hit.fingerprint = job.fingerprint
-        return hit
-    result = run_training_job(job)
-    result.fingerprint = job.fingerprint
-    cache.put(job.fingerprint, result)
-    return result
+        results[index] = hit
+    for index, result in zip(misses, run_training_jobs([jobs[i] for i in misses])):
+        result.fingerprint = jobs[index].fingerprint
+        cache.put(result.fingerprint, result)
+        results[index] = result
+    return results  # type: ignore[return-value]
 
 
 def dataset_fingerprint(fingerprints: Mapping[str, str]) -> str:

@@ -12,6 +12,22 @@ cached jobs are served without running, and only the misses are dispatched.
 Executors also expose :meth:`Executor.map` — a generic ordered map used by
 the experiment runner to fan a scenario/method/trial grid out across
 workers.
+
+**Lock-step training.**  The misses of one submit are planned by
+:func:`~repro.engine.job.plan_training_jobs`: jobs whose models are softmax
+regressions of one class, ``n_classes`` and ``l2``, with one
+:class:`~repro.ml.train.TrainingConfig` (no early stopping), one feature
+width and no validation set form a group, and each group trains as one
+stacked model (:func:`~repro.ml.train.fit_lockstep`).  Every weight comes
+out bitwise equal to the job's own per-model training, so grouping is only
+a schedule; jobs outside any group (MLPs, validation sets, early stopping)
+fall back to the per-model loop.  :class:`SerialExecutor` trains each group
+in one loop under an ``engine.train`` span; :class:`ProcessPoolExecutor`
+ships each group as at most ``max_workers`` row-balanced chunks, and a
+traced worker trains each chunk under one ``engine.train`` span next to
+per-job ``engine.job`` marker spans.  The ``engine.submit`` span records
+``groups`` and ``stacked`` (jobs in groups), and the
+``engine.stacked_jobs`` counter sums the latter.
 """
 
 from __future__ import annotations
@@ -24,7 +40,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.engine.cache import ResultCache
-from repro.engine.job import JobResult, TrainingJob, run_training_job
+from repro.engine.job import (
+    JobResult,
+    TrainingJob,
+    TrainingPlan,
+    plan_training_jobs,
+    run_training_jobs,
+    scheduled_steps,
+)
 from repro.telemetry import (
     CollectSink,
     MetricsRegistry,
@@ -79,8 +102,13 @@ class Executor:
                         results[index] = hit
                     else:
                         pending.append((index, job))
+            plan = plan_training_jobs([job for _, job in pending])
+            stacked = sum(len(group) for group in plan.lockstep)
+            registry.counter("engine.stacked_jobs").inc(stacked)
+            span.set_attribute("groups", len(plan.lockstep))
+            span.set_attribute("stacked", stacked)
             if pending:
-                executed = self._run_jobs([job for _, job in pending])
+                executed = self._run_jobs([job for _, job in pending], plan)
                 for (index, job), result in zip(pending, executed, strict=True):
                     results[index] = result
                     if self.cache is not None:
@@ -105,8 +133,10 @@ class Executor:
         """Apply ``fn`` to every item, preserving order (generic fan-out)."""
         raise NotImplementedError
 
-    def _run_jobs(self, jobs: Sequence[TrainingJob]) -> list[JobResult]:
-        """Execute cache-missed jobs; must preserve order."""
+    def _run_jobs(
+        self, jobs: Sequence[TrainingJob], plan: TrainingPlan
+    ) -> list[JobResult]:
+        """Execute cache-missed jobs as ``plan`` groups them; keep order."""
         raise NotImplementedError
 
     # -- lifecycle ---------------------------------------------------------------
@@ -121,55 +151,84 @@ class Executor:
 
 
 @dataclass
-class _ShippedJob:
-    """A worker's result plus the telemetry it produced (picklable)."""
+class _ShippedJobs:
+    """A worker's results for one chunk plus the telemetry it produced."""
 
-    result: JobResult
+    results: list[JobResult]
     spans: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
 
 @dataclass
 class _TracedWorkerRunner:
-    """Picklable wrapper running one job under a worker-local tracer.
+    """Picklable wrapper running one chunk of jobs under a worker-local tracer.
 
-    The worker installs a fresh tracer (collect sink) and a fresh metrics
-    registry around the job, so the shipped payload contains exactly this
-    job's spans and metric deltas — pool processes are reused across jobs,
-    and a process-wide registry would double-count.  The span id derives
-    from the parent ``engine.submit`` span and the job's submission index,
-    never from which worker ran it.
+    The worker installs a fresh metrics registry around the chunk and
+    collects its spans on a fresh tracer, so the shipped payload contains
+    exactly this chunk's spans and metric deltas — pool processes are
+    reused across chunks, and a process-wide registry would double-count.
+    The chunk trains under one ``engine.train`` span (``jobs``, ``steps``)
+    opened here; the runner itself runs untraced, so the span it opens for
+    a lock-step group is not a second copy.  Each job then gets an
+    ``engine.job`` marker span carrying its index, tag and ``from_cache``:
+    the chunk's jobs train together, so the training time is on the
+    ``engine.train`` span, not split across jobs.  Span ids derive from the
+    parent ``engine.submit`` span and submission indices (a chunk's first
+    job for ``engine.train``), never from which worker ran the chunk.
     """
 
-    runner: Callable[[TrainingJob], JobResult]
+    runner: Callable[[list[TrainingJob]], list[JobResult]]
     parent_id: str
     baggage: dict
 
-    def __call__(self, indexed_job: tuple[int, TrainingJob]) -> _ShippedJob:
-        index, job = indexed_job
+    def __call__(self, chunk: list[tuple[int, TrainingJob]]) -> _ShippedJobs:
+        jobs = [job for _, job in chunk]
         collector = CollectSink()
         tracer = Tracer(sinks=[collector])
         registry = MetricsRegistry()
-        previous_tracer = set_tracer(tracer)
+        previous_tracer = set_tracer(None)
         previous_registry = set_registry(registry)
         try:
             with tracer.span(
-                "engine.job",
+                "engine.train",
                 parent=self.parent_id,
-                sequence=index,
-                attributes={"index": index, "tag": repr(job.tag)},
+                sequence=chunk[0][0],
+                attributes={"jobs": len(jobs), "steps": scheduled_steps(jobs)},
                 baggage=self.baggage,
-            ) as span:
-                result = self.runner(job)
-                span.set_attribute("from_cache", bool(result.from_cache))
+            ):
+                results = self.runner(jobs)
+            for (index, job), result in zip(chunk, results):
+                with tracer.span(
+                    "engine.job",
+                    parent=self.parent_id,
+                    sequence=index,
+                    attributes={
+                        "index": index,
+                        "tag": repr(job.tag),
+                        "from_cache": bool(result.from_cache),
+                    },
+                    baggage=self.baggage,
+                ):
+                    pass
         finally:
             set_tracer(previous_tracer)
             set_registry(previous_registry)
-        return _ShippedJob(
-            result=result,
+        return _ShippedJobs(
+            results=results,
             spans=[span.to_dict() for span in collector.spans()],
             metrics=registry.snapshot(),
         )
+
+
+def _chunks(group: list[int], jobs: Sequence[TrainingJob], parts: int) -> list[list[int]]:
+    """Split a group into at most ``parts`` chunks of about equal rows."""
+    chunks: list[list[int]] = [[] for _ in range(min(parts, len(group)))]
+    rows = [0] * len(chunks)
+    for index in sorted(group, key=lambda index: -len(jobs[index].train)):
+        lightest = rows.index(min(rows))
+        chunks[lightest].append(index)
+        rows[lightest] += len(jobs[index].train)
+    return [sorted(chunk) for chunk in chunks]
 
 
 class SerialExecutor(Executor):
@@ -177,8 +236,10 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def _run_jobs(self, jobs: Sequence[TrainingJob]) -> list[JobResult]:
-        return [run_training_job(job) for job in jobs]
+    def _run_jobs(
+        self, jobs: Sequence[TrainingJob], plan: TrainingPlan
+    ) -> list[JobResult]:
+        return run_training_jobs(jobs, plan)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         return [fn(item) for item in items]
@@ -195,15 +256,17 @@ class ProcessPoolExecutor(Executor):
         Optional result cache (lives in the parent process; workers only see
         cache misses).
     chunksize:
-        Jobs shipped per worker task; 1 keeps scheduling responsive for the
-        heterogeneous job sizes the estimator produces.
+        Tasks shipped per worker message; 1 keeps scheduling responsive for
+        the heterogeneous job sizes the estimator produces.  A task is one
+        chunk of a lock-step group (a group splits into at most
+        ``max_workers`` chunks of about equal rows) or one ungrouped job.
 
     Jobs and their results must be picklable.  A closure model factory (the
-    one realistic offender) degrades gracefully: the whole batch is executed
-    serially in the parent with a warning, so correctness never depends on
-    the backend.  Only the factories are probed — datasets, configs, and
-    seeds always pickle, and probing whole jobs would serialize every
-    training set twice.
+    one realistic offender) degrades gracefully: the batch runs serially in
+    the parent, with a warning, so correctness never depends on the
+    backend.  Only the factories are
+    probed — datasets, configs, and seeds always pickle, and probing whole
+    jobs would serialize every training set twice.
     """
 
     name = "process"
@@ -240,7 +303,9 @@ class ProcessPoolExecutor(Executor):
             return False
         return True
 
-    def _run_jobs(self, jobs: Sequence[TrainingJob]) -> list[JobResult]:
+    def _run_jobs(
+        self, jobs: Sequence[TrainingJob], plan: TrainingPlan
+    ) -> list[JobResult]:
         if not jobs:
             return []
         factories = {id(job.model_factory): job.model_factory for job in jobs}
@@ -251,41 +316,57 @@ class ProcessPoolExecutor(Executor):
                 RuntimeWarning,
                 stacklevel=3,
             )
-            return [run_training_job(job) for job in jobs]
+            return run_training_jobs(jobs, plan)
+        tasks = [
+            chunk
+            for group in plan.groups
+            for chunk in _chunks(group, jobs, self.max_workers)
+        ]
         pool = self._ensure_pool()
         # A process-shared cache (SqliteResultCache) supplies a picklable
         # runner that re-checks and feeds the shared file from inside each
-        # worker, so results land on disk the moment they finish and no
-        # cross-process result is ever retrained.
-        runner: Callable[[TrainingJob], JobResult] = run_training_job
+        # worker, so results land on disk the moment their chunk finishes
+        # and no cross-process result is ever retrained.
+        runner: Callable[[list[TrainingJob]], list[JobResult]] = run_training_jobs
         worker_factory = getattr(self.cache, "worker_runner", None)
         if worker_factory is not None:
             runner = worker_factory()
         tracer = get_tracer()
+        shipped_results: Iterable[Any]
         if not tracer.enabled:
-            return list(pool.map(runner, jobs, chunksize=self.chunksize))
-        # Tracing is on: wrap the runner so each worker runs its job under
-        # a span on a job-local tracer/registry and ships both back with
-        # the result.  Parent linkage and sequence are pre-assigned here,
-        # so worker span ids are deterministic regardless of which worker
-        # process picks which job up.
-        parent = tracer.current_span()
-        traced_runner = _TracedWorkerRunner(
-            runner=runner,
-            parent_id=parent.span_id if parent is not None else "",
-            baggage=dict(parent.baggage) if parent is not None else {},
-        )
-        shipped = list(
-            pool.map(traced_runner, enumerate(jobs), chunksize=self.chunksize)
-        )
+            shipped_results = pool.map(
+                runner,
+                [[jobs[i] for i in task] for task in tasks],
+                chunksize=self.chunksize,
+            )
+        else:
+            # Tracing is on: wrap the runner so each worker runs its chunk
+            # under spans on a chunk-local tracer/registry and ships both
+            # back with the results.  Parent linkage and sequences are
+            # pre-assigned here, so worker span ids are deterministic
+            # regardless of which worker picks which chunk up.
+            parent = tracer.current_span()
+            traced_runner = _TracedWorkerRunner(
+                runner=runner,
+                parent_id=parent.span_id if parent is not None else "",
+                baggage=dict(parent.baggage) if parent is not None else {},
+            )
+            shipped_results = pool.map(
+                traced_runner,
+                [[(i, jobs[i]) for i in task] for task in tasks],
+                chunksize=self.chunksize,
+            )
         registry = get_registry()
-        results: list[JobResult] = []
-        for item in shipped:
-            results.append(item.result)
-            for span_dict in item.spans:
-                tracer.emit(Span.from_dict(span_dict))
-            registry.merge(item.metrics)
-        return results
+        results: list[JobResult | None] = [None] * len(jobs)
+        for task, shipped in zip(tasks, shipped_results):
+            if isinstance(shipped, _ShippedJobs):
+                for span_dict in shipped.spans:
+                    tracer.emit(Span.from_dict(span_dict))
+                registry.merge(shipped.metrics)
+                shipped = shipped.results
+            for i, result in zip(task, shipped):
+                results[i] = result
+        return results  # type: ignore[return-value]
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         items = list(items)

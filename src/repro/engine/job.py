@@ -11,6 +11,11 @@ spawned up-front by the caller.  Two consequences:
   configuration, factory name, and seed, so a
   :class:`~repro.engine.cache.ResultCache` can recognise a repeated training
   and skip it entirely.
+
+:func:`run_training_jobs` executes a batch: jobs that share a lock-step key
+(:func:`plan_training_jobs`) train together in one
+:func:`~repro.ml.train.fit_lockstep` loop, every other job alone through
+:func:`run_training_job`.  Each job's result is bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any
+from typing import Any, Hashable, Sequence
 
 from repro.engine.factories import ModelFactory
 from repro.ml.data import Dataset
-from repro.ml.train import Trainer, TrainingConfig, TrainingResult
+from repro.ml.linear import SoftmaxRegression
+from repro.ml.train import Trainer, TrainingConfig, TrainingResult, fit_lockstep
+from repro.telemetry import get_tracer
 
 
 def fingerprint_dataset(dataset: Dataset) -> str:
@@ -151,18 +158,133 @@ class JobResult:
     from_cache: bool = False
 
 
-def run_training_job(job: TrainingJob) -> JobResult:
-    """Execute one job: build a fresh model, train it, package the result.
-
-    Module-level (not a method) so process-pool workers can import it.
-    """
+def _build_model(job: TrainingJob) -> Any:
+    """A fresh, untrained model from the job's factory."""
     if job.model_factory is None:
         from repro.engine.factories import get_model_factory
 
         factory: ModelFactory = get_model_factory(job.factory_name)
     else:
         factory = job.model_factory
-    model = factory(job.n_classes)
+    return factory(job.n_classes)
+
+
+def _fit_alone(job: TrainingJob, model: Any) -> JobResult:
     trainer = Trainer(config=job.trainer_config, random_state=job.seed)
     training = trainer.fit(model, job.train, job.validation)
     return JobResult(model=model, training=training, tag=job.tag)
+
+
+def run_training_job(job: TrainingJob) -> JobResult:
+    """Execute one job: build a fresh model, train it, package the result.
+
+    Module-level (not a method) so process-pool workers can import it.
+    """
+    return _fit_alone(job, _build_model(job))
+
+
+def _lockstep_key(job: TrainingJob, model: Any) -> Hashable | None:
+    """What jobs must share to train in one lock-step loop (``None``: never).
+
+    Softmax models of one class, ``n_classes`` and ``l2``, one
+    :class:`~repro.ml.train.TrainingConfig` without early stopping, one
+    feature width, and no validation set.
+    """
+    config = job.trainer_config
+    if (
+        type(model) is not SoftmaxRegression
+        or job.validation is not None
+        or config.early_stopping_patience
+    ):
+        return None
+    return (model.n_classes, model.l2, config, job.train.n_features)
+
+
+@dataclass
+class TrainingPlan:
+    """How a batch of jobs trains (see :func:`plan_training_jobs`).
+
+    Attributes
+    ----------
+    models:
+        One fresh model per job, built by the job's factory.
+    groups:
+        A partition of the job indices in order of each list's first job.
+        A list of two or more trains in lock-step; a singleton trains alone.
+    """
+
+    models: list[Any]
+    groups: list[list[int]]
+
+    @property
+    def lockstep(self) -> list[list[int]]:
+        """The groups that train in lock-step."""
+        return [group for group in self.groups if len(group) > 1]
+
+
+def plan_training_jobs(jobs: Sequence[TrainingJob]) -> TrainingPlan:
+    """Build each job's model once and group the jobs by lock-step key."""
+    models = [_build_model(job) for job in jobs]
+    by_key: dict[Hashable, list[int]] = {}
+    groups: list[list[int]] = []
+    for index, (job, model) in enumerate(zip(jobs, models)):
+        key = _lockstep_key(job, model)
+        group = None if key is None else by_key.get(key)
+        if group is None:
+            group = [index]
+            groups.append(group)
+            if key is not None:
+                by_key[key] = group
+        else:
+            group.append(index)
+    return TrainingPlan(models=models, groups=groups)
+
+
+def scheduled_steps(jobs: Sequence[TrainingJob]) -> int:
+    """Optimizer steps a group of same-config jobs schedules in lock-step.
+
+    Per epoch: the largest model's full batches, which every model still
+    stepping takes together, plus one ragged sub-step per model whose size
+    is not a batch multiple.  For one job that is its own step count.
+    """
+    config = jobs[0].trainer_config
+    sizes = [len(job.train) for job in jobs]
+    return config.epochs * (
+        max(sizes) // config.batch_size
+        + sum(1 for size in sizes if size % config.batch_size)
+    )
+
+
+def run_training_jobs(
+    jobs: Sequence[TrainingJob], plan: TrainingPlan | None = None
+) -> list[JobResult]:
+    """Execute a batch of jobs, results in submission order.
+
+    Each lock-step group of ``plan`` (default :func:`plan_training_jobs`)
+    trains in one :func:`~repro.ml.train.fit_lockstep` loop under an
+    ``engine.train`` span; every other job trains alone, exactly as
+    :func:`run_training_job` would.  Module-level so process-pool workers
+    can import it.
+    """
+    jobs = list(jobs)
+    plan = plan_training_jobs(jobs) if plan is None else plan
+    results: list[JobResult | None] = [None] * len(jobs)
+    for group in plan.groups:
+        if len(group) == 1:
+            results[group[0]] = _fit_alone(jobs[group[0]], plan.models[group[0]])
+            continue
+        members = [jobs[index] for index in group]
+        models = [plan.models[index] for index in group]
+        with get_tracer().span(
+            "engine.train",
+            attributes={"jobs": len(group), "steps": scheduled_steps(members)},
+        ):
+            trainings = fit_lockstep(
+                models,
+                [job.train for job in members],
+                [job.seed for job in members],
+                members[0].trainer_config,
+            )
+        for index, job, model, training in zip(group, members, models, trainings):
+            results[index] = JobResult(model=model, training=training, tag=job.tag)
+    return results  # type: ignore[return-value]

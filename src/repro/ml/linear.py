@@ -71,13 +71,19 @@ class SoftmaxRegression:
         return [self.weights, self.bias]
 
     def gradients(self, features: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
-        """Return gradients of the regularized loss for a mini-batch."""
+        """Return gradients of the regularized loss for a mini-batch.
+
+        Leading axes are model axes: with ``(m, d, k)`` weights, ``(m, k)``
+        bias, ``(m, n, d)`` features and ``(m, n)`` labels this is the
+        gradient of ``m`` models at once, each row bitwise what the model
+        alone would get (lock-step training relies on it).
+        """
         if self.weights is None or self.bias is None:
             raise ConfigurationError("model is not initialized")
         probabilities = self.predict_proba(features)
         dlogits = cross_entropy_gradient(probabilities, labels)
-        dweights = features.T @ dlogits + self.l2 * self.weights
-        dbias = dlogits.sum(axis=0)
+        dweights = np.swapaxes(features, -1, -2) @ dlogits + self.l2 * self.weights
+        dbias = dlogits.sum(axis=-2)
         return [dweights, dbias]
 
     # -- inference -----------------------------------------------------------
@@ -86,7 +92,7 @@ class SoftmaxRegression:
         if self.weights is None or self.bias is None:
             raise ConfigurationError("model is not initialized")
         features = np.asarray(features, dtype=np.float64)
-        return features @ self.weights + self.bias
+        return features @ self.weights + self.bias[..., None, :]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Return class probabilities of shape ``(n, n_classes)``."""

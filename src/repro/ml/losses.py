@@ -36,14 +36,20 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Encode integer labels as a ``(n, n_classes)`` one-hot matrix."""
-    labels = np.asarray(labels, dtype=np.int64)
+def check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Raise ``ValueError`` unless every label lies in ``[0, n_classes)``."""
+    labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
+
+
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Encode integer labels as a ``(n, n_classes)`` one-hot matrix."""
+    labels = np.asarray(labels, dtype=np.int64)
+    check_labels(labels, n_classes)
     encoded = np.zeros((labels.shape[0], n_classes), dtype=np.float64)
     encoded[np.arange(labels.shape[0]), labels] = 1.0
     return encoded
@@ -91,8 +97,11 @@ def cross_entropy_gradient(
     """Gradient of the mean cross entropy with respect to the logits.
 
     For softmax + cross entropy the gradient simplifies to
-    ``(probabilities - one_hot(labels)) / n``.
+    ``(probabilities - one_hot(labels)) / n``.  Leading axes are batch axes
+    (``(..., n, k)`` probabilities, ``(..., n)`` labels), so stacked models
+    share this one formula.  Labels are not range-checked here: training
+    checks them once per fit (:func:`check_labels`), not once per step.
     """
-    n, k = probabilities.shape
-    grad = probabilities - one_hot(labels, k)
+    n, k = probabilities.shape[-2:]
+    grad = probabilities - (np.asarray(labels)[..., None] == np.arange(k))
     return grad / max(n, 1)

@@ -4,6 +4,12 @@ The optimizers operate on a flat list of parameter arrays and matching
 gradient arrays; models own their parameters and call ``update`` once per
 mini-batch.  ``SGD``, ``Momentum``, and ``Adam`` cover everything the paper's
 small CNN/fully-connected models need.
+
+The same optimizer also steps many same-shape models at once (lock-step
+training, :func:`repro.ml.train.fit_lockstep`): the parameters then carry a
+leading model axis, ``update(..., models=rows)`` steps only those rows, and
+every piece of state (moments, Adam's step count) is kept per row — so each
+row evolves bit for bit as it would under an optimizer of its own.
 """
 
 from __future__ import annotations
@@ -14,6 +20,16 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
+#: Rows of stacked parameters to update (``None``: unstacked parameters).
+Rows = slice | None
+
+
+def _select(arrays: Sequence[np.ndarray], models: Rows) -> list[np.ndarray]:
+    """Views of the ``models`` rows of each array (all of it for ``None``)."""
+    if models is None:
+        return list(arrays)
+    return [array[models] for array in arrays]
+
 
 class Optimizer:
     """Base class: applies gradient updates to a list of parameter arrays."""
@@ -22,9 +38,18 @@ class Optimizer:
         self.learning_rate = check_positive(learning_rate, "learning_rate")
 
     def update(
-        self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]
+        self,
+        params: Sequence[np.ndarray],
+        grads: Sequence[np.ndarray],
+        models: Rows = None,
     ) -> None:
-        """Update ``params`` in place using ``grads``."""
+        """Update ``params`` in place using ``grads``.
+
+        With ``models`` set, every parameter carries a leading model axis,
+        ``grads`` hold the gradients of the rows ``params[j][models]`` only,
+        and only those rows (and their optimizer state) move.  Pass the
+        same full-size ``params`` on every call.
+        """
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -35,9 +60,12 @@ class SGD(Optimizer):
     """Plain stochastic gradient descent."""
 
     def update(
-        self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]
+        self,
+        params: Sequence[np.ndarray],
+        grads: Sequence[np.ndarray],
+        models: Rows = None,
     ) -> None:
-        for param, grad in zip(params, grads):
+        for param, grad in zip(_select(params, models), grads):
             param -= self.learning_rate * grad
 
 
@@ -55,11 +83,16 @@ class Momentum(Optimizer):
         self._velocities = None
 
     def update(
-        self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]
+        self,
+        params: Sequence[np.ndarray],
+        grads: Sequence[np.ndarray],
+        models: Rows = None,
     ) -> None:
         if self._velocities is None:
             self._velocities = [np.zeros_like(p) for p in params]
-        for param, grad, velocity in zip(params, grads, self._velocities):
+        for param, grad, velocity in zip(
+            _select(params, models), grads, _select(self._velocities, models)
+        ):
             velocity *= self.momentum
             velocity -= self.learning_rate * grad
             param += velocity
@@ -85,7 +118,8 @@ class Adam(Optimizer):
         self.epsilon = check_positive(epsilon, "epsilon")
         self._first_moments: list[np.ndarray] | None = None
         self._second_moments: list[np.ndarray] | None = None
-        self._step = 0
+        #: Steps taken: an int, or one count per row once stacked.
+        self._step: int | np.ndarray = 0
 
     def reset(self) -> None:
         self._first_moments = None
@@ -93,17 +127,36 @@ class Adam(Optimizer):
         self._step = 0
 
     def update(
-        self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]
+        self,
+        params: Sequence[np.ndarray],
+        grads: Sequence[np.ndarray],
+        models: Rows = None,
     ) -> None:
         if self._first_moments is None:
             self._first_moments = [np.zeros_like(p) for p in params]
             self._second_moments = [np.zeros_like(p) for p in params]
-        self._step += 1
-        bias1 = 1.0 - self.beta1**self._step
-        bias2 = 1.0 - self.beta2**self._step
-        for param, grad, m, v in zip(
-            params, grads, self._first_moments, self._second_moments
-        ):
+            if models is not None:
+                self._step = np.zeros(len(params[0]), dtype=np.int64)
+        first, second = self._first_moments, self._second_moments
+        if models is None:
+            self._step += 1
+            bias1 = 1.0 - self.beta1**self._step
+            bias2 = 1.0 - self.beta2**self._step
+        else:
+            self._step[models] += 1
+            # Python floats per row, as the unstacked update computes them,
+            # so each row divides by the same bits.
+            steps = self._step[models].tolist()
+            bias1 = np.array([1.0 - self.beta1**step for step in steps])
+            bias2 = np.array([1.0 - self.beta2**step for step in steps])
+            params, first, second = (
+                _select(arrays, models) for arrays in (params, first, second)
+            )
+        for param, grad, m, v in zip(params, grads, first, second):
+            if models is not None:
+                # Broadcast each row's correction over that row's entries.
+                shape = (-1,) + (1,) * (param.ndim - 1)
+                bias1, bias2 = bias1.reshape(shape), bias2.reshape(shape)
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2

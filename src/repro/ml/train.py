@@ -2,23 +2,45 @@
 
 Every model training in the reproduction — the hundreds of trainings behind
 learning-curve estimation, the final evaluation trainings, the influence
-experiments — goes through :class:`Trainer` so they all use the same
-hyperparameters, batching, and early-stopping behaviour, exactly like the
-paper fixes hyperparameters once per dataset and never changes them again.
+experiments — uses the same hyperparameters, batching, and early-stopping
+behaviour, exactly like the paper fixes hyperparameters once per dataset and
+never changes them again.  Two loops implement it:
+
+* :class:`Trainer` fits one model: any :class:`TrainableModel`, with or
+  without a validation set and early stopping.
+* :func:`fit_lockstep` fits a group of softmax models that share class,
+  hyperparameters, :class:`TrainingConfig` and input width as one stacked
+  model: parameters and optimizer state carry a leading model axis, so each
+  mini-batch position is one batched step for the whole group.  Each model
+  keeps its own seeded shuffles, its own ragged last batch (a sub-step of
+  that model alone) and its own optimizer step count, so its weights come
+  out **bitwise equal** to what :class:`Trainer` gives it: grouping is only
+  a schedule.  Validation sets and early stopping stay on :class:`Trainer`.
+
+Both loops check the labels once per fit, before any step.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from repro.ml.data import Dataset
+from repro.ml.losses import check_labels
 from repro.ml.optim import Optimizer, make_optimizer
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ml.linear import SoftmaxRegression
+
+#: Bytes of gathered mini-batch features :func:`fit_lockstep` holds at once;
+#: it gathers a window of steps per refill, never a whole epoch.
+_WINDOW_BYTES = 1 << 19
 
 
 class TrainableModel(Protocol):
@@ -98,8 +120,6 @@ class TrainingResult:
     epochs_run:
         Number of epochs actually executed (may be fewer than configured if
         early stopping triggered).
-    train_losses:
-        Per-epoch loss on the training data.
     validation_losses:
         Per-epoch loss on the validation data (empty when none was used).
     stopped_early:
@@ -113,16 +133,10 @@ class TrainingResult:
     """
 
     epochs_run: int = 0
-    train_losses: list[float] = field(default_factory=list)
     validation_losses: list[float] = field(default_factory=list)
     stopped_early: bool = False
     best_epoch: int | None = None
     restored_best: bool = False
-
-    @property
-    def final_train_loss(self) -> float:
-        """Loss on the training data after the last epoch."""
-        return self.train_losses[-1] if self.train_losses else float("nan")
 
 
 class Trainer:
@@ -158,6 +172,7 @@ class Trainer:
         """
         if len(train) == 0:
             raise ConfigurationError("cannot train on an empty dataset")
+        check_labels(train.labels, model.n_classes)
         config = self.config
 
         if (
@@ -186,7 +201,6 @@ class Trainer:
         for epoch in range(config.epochs):
             self._run_epoch(model, optimizer, train)
             result.epochs_run = epoch + 1
-            result.train_losses.append(model.loss(train))
 
             if validation is not None and len(validation) > 0:
                 val_loss = model.loss(validation)
@@ -222,6 +236,123 @@ class Trainer:
             labels = train.labels[batch_idx]
             grads = model.gradients(features, labels)
             optimizer.update(model.parameters(), grads)
+
+
+def fit_lockstep(
+    models: Sequence["SoftmaxRegression"],
+    datasets: Sequence[Dataset],
+    random_states: Sequence[RandomState],
+    config: TrainingConfig,
+) -> list[TrainingResult]:
+    """Fit ``models[i]`` on ``datasets[i]`` for every ``i`` in one loop.
+
+    Each model ends bitwise equal to
+    ``Trainer(config, random_states[i]).fit(models[i], datasets[i])``.  The
+    models must share class and hyperparameters, the datasets their feature
+    width, and ``config`` must not ask for early stopping.  Every dataset
+    is checked (non-empty, labels in range) before any model is touched.
+
+    The schedule: a model with ``n`` rows takes ``n // batch_size`` full
+    steps per epoch plus, when ``n % batch_size`` rows are left, one ragged
+    step.  Lock-step ``s`` runs the ``s``-th full step of every model that
+    has one, as a single stacked update; models are sorted by full-step
+    count, so those are a prefix and slicing it gives views.  A ragged step
+    runs alone, between the model's last full step of the epoch and its
+    first of the next.  Batches are gathered from each model's own arrays
+    a window of steps at a time, never as a stacked copy of the data.
+    """
+    if config.early_stopping_patience:
+        raise ConfigurationError("lock-step training does not early-stop")
+    for model, data in zip(models, datasets, strict=True):
+        if len(data) == 0:
+            raise ConfigurationError("cannot train on an empty dataset")
+        check_labels(data.labels, model.n_classes)
+    batch, epochs = config.batch_size, config.epochs
+    # Most full steps first, so the models still stepping form a prefix.
+    order = sorted(range(len(models)), key=lambda i: -(len(datasets[i]) // batch))
+    models = [models[i] for i in order]
+    datasets = [datasets[i] for i in order]
+    rngs = [as_generator(random_states[i]) for i in order]
+    for model, data in zip(models, datasets):
+        model.initialize(data.n_features)
+    full = [len(data) // batch for data in datasets]
+    last = [epochs * count for count in full]
+    # Weights and bias share one (models, d * k + k) buffer, so the
+    # elementwise optimizer update runs once per step, not once per array.
+    width, n_classes = models[0].weights.shape
+    theta = np.stack(
+        [np.concatenate([model.weights.ravel(), model.bias]) for model in models]
+    )
+    weights = theta[:, : width * n_classes].reshape(len(models), width, n_classes)
+    bias = theta[:, width * n_classes :]
+    optimizer = make_optimizer(config.optimizer, config.learning_rate)
+    stacked = copy.copy(models[0])
+
+    def step_models(rows: slice, features: np.ndarray, labels: np.ndarray) -> None:
+        stacked.weights, stacked.bias = weights[rows], bias[rows]
+        dweights, dbias = stacked.gradients(features, labels)
+        flat = np.concatenate([dweights.reshape(len(dbias), -1), dbias], axis=1)
+        optimizer.update([theta], [flat], models=rows)
+
+    # Epoch e of model i ends just before lock-step (e + 1) * full[i].
+    epoch_ends: dict[int, list[tuple[int, int]]] = {}
+    for i, count in enumerate(full):
+        for epoch in range(epochs):
+            epoch_ends.setdefault((epoch + 1) * count, []).append((i, epoch))
+    shuffles: list[dict[int, np.ndarray]] = [{} for _ in models]
+    drawn = [0] * len(models)
+
+    def shuffle(i: int, epoch: int) -> np.ndarray:
+        # Drawn in epoch order from the model's own generator, as Trainer does.
+        while drawn[i] <= epoch:
+            shuffles[i][drawn[i]] = rngs[i].permutation(len(datasets[i]))
+            drawn[i] += 1
+        return shuffles[i][epoch]
+
+    def full_batches(i: int, begin: int, end: int) -> np.ndarray:
+        # Row indices of model i's full steps begin .. end - 1, in order.
+        parts = []
+        while begin < end:
+            epoch, offset = divmod(begin, full[i])
+            until = min(end, (epoch + 1) * full[i])
+            parts.append(
+                shuffle(i, epoch)[offset * batch : (offset + until - begin) * batch]
+            )
+            begin = until
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    window = max(1, _WINDOW_BYTES // (len(models) * batch * width * 8))
+    features = np.empty((len(models), window, batch, width))
+    labels = np.empty((len(models), window, batch), dtype=np.int64)
+    active, start = len(models), 0
+    for step in range(last[0] + 1):
+        for i, epoch in epoch_ends.pop(step, ()):
+            rows = shuffle(i, epoch)[full[i] * batch :]
+            del shuffles[i][epoch]
+            if rows.size:
+                data = datasets[i]
+                step_models(
+                    slice(i, i + 1), data.features[rows][None], data.labels[rows][None]
+                )
+        if step == last[0]:
+            break
+        while last[active - 1] <= step:
+            active -= 1
+        if step == 0 or step == start + window:
+            start = step
+            for i in range(active):
+                stop = min(step + window, last[i])
+                rows = full_batches(i, step, stop)
+                out = features[i, : stop - step].reshape(-1, width)
+                np.take(datasets[i].features, rows, axis=0, out=out, mode="clip")
+                out = labels[i, : stop - step].reshape(-1)
+                np.take(datasets[i].labels, rows, out=out, mode="clip")
+        at = step - start
+        step_models(slice(0, active), features[:active, at], labels[:active, at])
+
+    for i, model in enumerate(models):
+        model.weights, model.bias = weights[i].copy(), bias[i].copy()
+    return [TrainingResult(epochs_run=epochs) for _ in models]
 
 
 def train_model(

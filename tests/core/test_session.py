@@ -339,3 +339,26 @@ class TestEvaluateReproducibility:
         second = tuner.evaluate()
         assert np.isfinite(first.loss)
         assert second.loss == pytest.approx(first.loss)
+
+class TestReferenceCycles:
+    def test_finished_session_is_freed_without_the_cycle_collector(
+        self, tiny_task, fast_training, fast_curves
+    ):
+        # A session caught in a reference cycle keeps its run's datasets
+        # alive until the cyclic collector next runs, which raises peak
+        # memory when runs are fast and allocate little.
+        import gc
+        import weakref
+
+        tuner = make_tuner(tiny_task, fast_training, fast_curves)
+        fulfilled = []
+        gc.disable()
+        try:
+            session = tuner.session(on_fulfillment=fulfilled.append)
+            session.run(budget=60, strategy="moderate", evaluate=False)
+            freed = weakref.ref(session)
+            del session
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert fulfilled

@@ -122,6 +122,18 @@ class TestSqliteResultCache:
             assert cache.get(job.fingerprint) is None
             assert len(cache) == 0
 
+    def test_rows_of_the_previous_result_layout_are_misses(self, rng, cache_path):
+        # Layout 1 still carried per-epoch train losses in TrainingResult.
+        assert RESULT_SCHEMA == "repro.jobresult/2"
+        job = _job(rng)
+        with SqliteResultCache(cache_path) as cache:
+            cache.put(job.fingerprint, run_training_job(job))
+        with sqlite3.connect(cache_path) as conn:
+            conn.execute("UPDATE results SET schema = ?", ("repro.jobresult/1",))
+        with SqliteResultCache(cache_path) as cache:
+            assert cache.get(job.fingerprint) is None
+            assert len(cache) == 0
+
     def test_wrong_type_payload_degrades_to_miss(self, rng, cache_path):
         job = _job(rng)
         with SqliteResultCache(cache_path) as cache:
@@ -423,7 +435,7 @@ _HAMMER_SCRIPT = textwrap.dedent(
     """
     import sys, time
     import numpy as np
-    from repro.engine.diskcache import SqliteResultCache, run_training_job_shared
+    from repro.engine.diskcache import SqliteResultCache, run_training_jobs_shared
     from repro.engine.job import TrainingJob
     from repro.engine.factories import get_model_factory
     from repro.ml.data import Dataset
@@ -448,7 +460,7 @@ _HAMMER_SCRIPT = textwrap.dedent(
     # Pass 1: hammer our share of the jobs into the common file.
     trained = 0
     for job in jobs[start:stop]:
-        if not run_training_job_shared(path, job).from_cache:
+        if not run_training_jobs_shared(path, [job])[0].from_cache:
             trained += 1
 
     # Barrier: wait until every job (ours and the peer's) is committed.
@@ -463,7 +475,7 @@ _HAMMER_SCRIPT = textwrap.dedent(
     # Pass 2: the whole set again — every job must now be a cross-process
     # hit; a single retraining means the shared file lied.
     retrained = sum(
-        0 if run_training_job_shared(path, job).from_cache else 1
+        0 if run_training_jobs_shared(path, [job])[0].from_cache else 1
         for job in jobs
     )
     print(f"trained={trained} retrained={retrained}", flush=True)

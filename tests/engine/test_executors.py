@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,15 +75,79 @@ class TestSerialExecutor:
         assert SerialExecutor().map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
 
 
+def _closure_factory():
+    # A nested function: it cannot pickle, so its batch runs serially.
+    def factory(n_classes):
+        from repro.ml.linear import SoftmaxRegression
+
+        return SoftmaxRegression(n_classes=n_classes, random_state=0)
+
+    return factory
+
+
+def make_mixed_wave(rng) -> list[TrainingJob]:
+    """Stackable softmax jobs of several sizes, one MLP job, one closure job."""
+    config = TrainingConfig(epochs=2, batch_size=8)
+    jobs = make_jobs(rng, count=5)
+    for index, size in enumerate((3, 8, 40)):
+        dataset = Dataset(rng.normal(size=(size, 3)), rng.integers(0, 2, size=size))
+        jobs.append(
+            TrainingJob(
+                train=dataset, n_classes=2, seed=300 + index,
+                trainer_config=config, factory_name="softmax", tag=f"size-{size}",
+            )
+        )
+    dataset = Dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30))
+    jobs.append(
+        TrainingJob(
+            train=dataset, n_classes=2, seed=7, trainer_config=config,
+            model_factory=get_model_factory("mlp"), factory_name="mlp", tag="mlp",
+        )
+    )
+    jobs.append(
+        TrainingJob(
+            train=dataset, n_classes=2, seed=8, trainer_config=config,
+            model_factory=_closure_factory(), factory_name="closure", tag="closure",
+        )
+    )
+    return jobs
+
+
 class TestProcessPoolExecutor:
     def test_matches_serial_results(self, rng):
-        jobs = make_jobs(rng)
+        jobs = make_mixed_wave(rng)
         serial = SerialExecutor().submit(jobs)
-        with ProcessPoolExecutor(max_workers=1) as executor:
-            parallel = executor.submit(jobs)
-        for s, p in zip(serial, parallel):
-            np.testing.assert_array_equal(s.model.weights, p.model.weights)
-            assert s.training.train_losses == p.training.train_losses
+        for max_workers in (1, 2):
+            # Without the closure job the wave ships to the workers; with
+            # it, the whole batch falls back to the parent.
+            with ProcessPoolExecutor(max_workers=max_workers) as executor:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    shipped = executor.submit(jobs[:-1])
+                assert executor._pool is not None
+            with ProcessPoolExecutor(max_workers=max_workers) as executor:
+                with pytest.warns(RuntimeWarning, match="not picklable"):
+                    fallback = executor.submit(jobs)
+                assert executor._pool is None
+            for parallel in (shipped, fallback):
+                tags = [job.tag for job in jobs[: len(parallel)]]
+                assert [p.tag for p in parallel] == tags
+                for s, p in zip(serial, parallel):
+                    for a, b in zip(s.model.parameters(), p.model.parameters()):
+                        np.testing.assert_array_equal(a, b)
+                    assert s.training == p.training
+
+    def test_groups_split_into_row_balanced_chunks(self, rng):
+        from repro.engine.executor import _chunks
+
+        jobs = make_mixed_wave(rng)
+        group = [0, 1, 2, 3, 4, 5, 6, 7]
+        chunks = _chunks(group, jobs, 3)
+        assert len(chunks) == 3
+        assert sorted(i for chunk in chunks for i in chunk) == group
+        rows = [sum(len(jobs[i].train) for i in chunk) for chunk in chunks]
+        assert max(rows) - min(rows) <= max(len(jobs[i].train) for i in group)
+        assert len(_chunks([0, 1], jobs, 8)) == 2
 
     def test_unpicklable_factory_falls_back_to_serial(self, rng):
         dataset = Dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, size=20))

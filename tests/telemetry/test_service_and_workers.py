@@ -140,6 +140,25 @@ class TestWorkerSpanShipping:
             )
             assert span.duration is not None and span.duration > 0.0
             assert span.attributes["from_cache"] is False
+        # The four same-shape jobs form one lock-step group, shipped as two
+        # chunks of two; each chunk trains under one engine.train span whose
+        # sequence is its first job's submission index.
+        train_spans = sorted(
+            (s for s in sink.spans() if s.name == "engine.train"),
+            key=lambda span: span.sequence,
+        )
+        assert [span.sequence for span in train_spans] == [0, 1]
+        for span in train_spans:
+            assert span.parent_id == submits[0].span_id
+            assert span.span_id == derive_span_id(
+                submits[0].span_id, "engine.train", span.sequence
+            )
+            # 25 rows in batches of 8: three full steps and one ragged
+            # sub-step per model and epoch, over two epochs.
+            assert span.attributes == {"jobs": 2, "steps": 2 * (3 + 2)}
+        # The training time sits on the chunk spans, not on the job markers.
+        job_seconds = sum(span.duration for span in job_spans)
+        assert job_seconds < sum(span.duration for span in train_spans)
 
     def test_shipping_does_not_change_results(self, live_tracer):
         jobs = self._jobs()
@@ -148,7 +167,30 @@ class TestWorkerSpanShipping:
             parallel = executor.submit(jobs)
         for s, p in zip(serial, parallel):
             np.testing.assert_array_equal(s.model.weights, p.model.weights)
-            assert s.training.train_losses == p.training.train_losses
+            np.testing.assert_array_equal(s.model.bias, p.model.bias)
+            assert s.training == p.training
+
+    def test_serial_lockstep_group_emits_one_train_span(self, live_tracer):
+        from repro.telemetry import get_registry
+
+        _, sink = live_tracer
+        jobs = self._jobs()
+        mlp = TrainingJob(
+            train=jobs[0].train, n_classes=2, seed=9,
+            trainer_config=jobs[0].trainer_config, factory_name="mlp",
+        )
+        SerialExecutor().submit([*jobs, mlp])
+        (submit,) = [s for s in sink.spans() if s.name == "engine.submit"]
+        assert submit.attributes["groups"] == 1
+        assert submit.attributes["stacked"] == len(jobs)
+        (train,) = [s for s in sink.spans() if s.name == "engine.train"]
+        assert train.parent_id == submit.span_id
+        # 25 rows in batches of 8: three full steps and one ragged
+        # sub-step per model and epoch, over two epochs.
+        assert train.attributes == {"jobs": len(jobs), "steps": 2 * (3 + len(jobs))}
+        counters = get_registry().snapshot()["counters"]
+        assert counters["engine.stacked_jobs"] == len(jobs)
+        assert counters["engine.jobs"] == len(jobs) + 1
 
     def test_worker_metrics_merge_into_the_parent_registry(self, live_tracer):
         from repro.telemetry import get_registry
