@@ -116,242 +116,125 @@ See ``examples/`` for runnable scripts and ``benchmarks/`` for the harness
 that regenerates every table and figure of the paper's evaluation.
 """
 
-from repro.analytics import (
-    Analytics,
-    REPORT_SCHEMA,
-    assert_consistent,
-    reference_rows,
-)
-from repro.acquisition import (
-    AcquisitionRequest,
-    AcquisitionRouter,
-    AcquisitionService,
-    BudgetLedger,
-    CompositeSource,
-    CrowdsourcingSimulator,
-    EscalatingCost,
-    Fulfillment,
-    GeneratorDataSource,
-    PoolDataSource,
-    TableCost,
-    ThrottledSource,
-    UnitCost,
-    WorkerPool,
-    available_sources,
-    get_source,
-    register_source,
-    source_descriptions,
-)
-from repro.bandit import BanditResult, RottingBanditAcquirer
-from repro.campaigns import (
-    Campaign,
-    CampaignScheduler,
-    CampaignSpec,
-    CampaignStore,
-    InMemoryStore,
-    SqliteStore,
-)
-from repro.core import (
-    AcquisitionPlan,
-    AcquisitionStrategy,
-    IterationRecord,
-    OneShotAlgorithm,
-    SelectiveAcquisitionProblem,
-    SliceTuner,
-    SliceTunerConfig,
-    TunerSession,
-    TunerState,
-    TuningResult,
-    available_strategies,
-    get_change_ratio,
-    get_strategy,
-    imbalance_ratio,
-    optimize_allocation,
-    proportional_allocation,
-    register_strategy,
-    strategy_descriptions,
-    uniform_allocation,
-    water_filling_allocation,
-)
-from repro.curves import (
-    CurveEstimationConfig,
-    FittedCurve,
-    LearningCurveEstimator,
-    PowerLawCurve,
-    PowerLawWithFloor,
-    fit_power_law,
-)
-from repro.engine import (
-    CurveCache,
-    Executor,
-    InMemoryResultCache,
-    MLPFactory,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    SqliteResultCache,
-    TrainingJob,
-    available_executors,
-    get_executor,
-)
-from repro.datasets import (
-    SliceBlueprint,
-    SyntheticTask,
-    adult_like_task,
-    faces_like_task,
-    fashion_like_task,
-    mixed_like_task,
-)
-from repro.fairness import (
-    FairnessReport,
-    average_equalized_error_rates,
-    evaluate_fairness,
-    max_equalized_error_rates,
-    unfairness,
-)
-from repro.ml import (
-    Dataset,
-    MLPClassifier,
-    SoftmaxRegression,
-    Trainer,
-    TrainingConfig,
-)
-from repro.monitor import (
-    Alert,
-    AlertRule,
-    CampaignMonitor,
-    HealthEvaluator,
-    alert_history,
-    available_rules,
-    get_rule,
-    register_rule,
-)
-from repro.serve import TunerClient, TunerServer, TunerService
-from repro.slices import (
-    Slice,
-    SliceDiscoveryMethod,
-    SlicedDataset,
-    SliceSpec,
-    available_discovery_methods,
-    get_discovery_method,
-    register_discovery_method,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "__version__",
+_EXPORTS = {
     # core
-    "SliceTuner",
-    "SliceTunerConfig",
-    "TunerSession",
-    "TuningResult",
-    "IterationRecord",
-    "AcquisitionPlan",
-    "OneShotAlgorithm",
-    "SelectiveAcquisitionProblem",
-    "optimize_allocation",
-    "uniform_allocation",
-    "water_filling_allocation",
-    "proportional_allocation",
-    "imbalance_ratio",
-    "get_change_ratio",
+    "SliceTuner": ".core",
+    "SliceTunerConfig": ".core",
+    "TunerSession": ".core",
+    "TuningResult": ".core",
+    "IterationRecord": ".core",
+    "AcquisitionPlan": ".core",
+    "OneShotAlgorithm": ".core",
+    "SelectiveAcquisitionProblem": ".core",
+    "optimize_allocation": ".core",
+    "uniform_allocation": ".core",
+    "water_filling_allocation": ".core",
+    "proportional_allocation": ".core",
+    "imbalance_ratio": ".core",
+    "get_change_ratio": ".core",
     # strategy registry
-    "AcquisitionStrategy",
-    "TunerState",
-    "register_strategy",
-    "get_strategy",
-    "available_strategies",
-    "strategy_descriptions",
+    "AcquisitionStrategy": ".core",
+    "TunerState": ".core",
+    "register_strategy": ".core",
+    "get_strategy": ".core",
+    "available_strategies": ".core",
+    "strategy_descriptions": ".core",
     # bandit
-    "RottingBanditAcquirer",
-    "BanditResult",
+    "RottingBanditAcquirer": ".bandit",
+    "BanditResult": ".bandit",
     # campaigns
-    "Campaign",
-    "CampaignScheduler",
-    "CampaignSpec",
-    "CampaignStore",
-    "InMemoryStore",
-    "SqliteStore",
+    "Campaign": ".campaigns",
+    "CampaignScheduler": ".campaigns",
+    "CampaignSpec": ".campaigns",
+    "CampaignStore": ".campaigns",
+    "InMemoryStore": ".campaigns",
+    "SqliteStore": ".campaigns",
     # serve
-    "TunerService",
-    "TunerServer",
-    "TunerClient",
+    "TunerService": ".serve",
+    "TunerServer": ".serve",
+    "TunerClient": ".serve",
     # analytics
-    "Analytics",
-    "REPORT_SCHEMA",
-    "assert_consistent",
-    "reference_rows",
+    "Analytics": ".analytics",
+    "REPORT_SCHEMA": ".analytics",
+    "assert_consistent": ".analytics",
+    "reference_rows": ".analytics",
     # curves
-    "PowerLawCurve",
-    "PowerLawWithFloor",
-    "FittedCurve",
-    "fit_power_law",
-    "LearningCurveEstimator",
-    "CurveEstimationConfig",
+    "PowerLawCurve": ".curves",
+    "PowerLawWithFloor": ".curves",
+    "FittedCurve": ".curves",
+    "fit_power_law": ".curves",
+    "LearningCurveEstimator": ".curves",
+    "CurveEstimationConfig": ".curves",
     # slices
-    "Slice",
-    "SliceSpec",
-    "SlicedDataset",
-    "SliceDiscoveryMethod",
-    "register_discovery_method",
-    "get_discovery_method",
-    "available_discovery_methods",
+    "Slice": ".slices",
+    "SliceSpec": ".slices",
+    "SlicedDataset": ".slices",
+    "SliceDiscoveryMethod": ".slices",
+    "register_discovery_method": ".slices",
+    "get_discovery_method": ".slices",
+    "available_discovery_methods": ".slices",
     # ml
-    "Dataset",
-    "SoftmaxRegression",
-    "MLPClassifier",
-    "Trainer",
-    "TrainingConfig",
+    "Dataset": ".ml",
+    "SoftmaxRegression": ".ml",
+    "MLPClassifier": ".ml",
+    "Trainer": ".ml",
+    "TrainingConfig": ".ml",
     # fairness
-    "FairnessReport",
-    "evaluate_fairness",
-    "unfairness",
-    "average_equalized_error_rates",
-    "max_equalized_error_rates",
+    "FairnessReport": ".fairness",
+    "evaluate_fairness": ".fairness",
+    "unfairness": ".fairness",
+    "average_equalized_error_rates": ".fairness",
+    "max_equalized_error_rates": ".fairness",
     # datasets
-    "SyntheticTask",
-    "SliceBlueprint",
-    "fashion_like_task",
-    "mixed_like_task",
-    "faces_like_task",
-    "adult_like_task",
+    "SyntheticTask": ".datasets",
+    "SliceBlueprint": ".datasets",
+    "fashion_like_task": ".datasets",
+    "mixed_like_task": ".datasets",
+    "faces_like_task": ".datasets",
+    "adult_like_task": ".datasets",
     # engine
-    "Executor",
-    "SerialExecutor",
-    "ProcessPoolExecutor",
-    "TrainingJob",
-    "InMemoryResultCache",
-    "SqliteResultCache",
-    "CurveCache",
-    "MLPFactory",
-    "get_executor",
-    "available_executors",
+    "Executor": ".engine",
+    "SerialExecutor": ".engine",
+    "ProcessPoolExecutor": ".engine",
+    "TrainingJob": ".engine",
+    "InMemoryResultCache": ".engine",
+    "SqliteResultCache": ".engine",
+    "CurveCache": ".engine",
+    "MLPFactory": ".engine",
+    "get_executor": ".engine",
+    "available_executors": ".engine",
     # acquisition
-    "GeneratorDataSource",
-    "PoolDataSource",
-    "CompositeSource",
-    "ThrottledSource",
-    "AcquisitionRequest",
-    "Fulfillment",
-    "AcquisitionRouter",
-    "AcquisitionService",
-    "register_source",
-    "get_source",
-    "available_sources",
-    "source_descriptions",
-    "UnitCost",
-    "TableCost",
-    "EscalatingCost",
-    "BudgetLedger",
-    "WorkerPool",
-    "CrowdsourcingSimulator",
+    "GeneratorDataSource": ".acquisition",
+    "PoolDataSource": ".acquisition",
+    "CompositeSource": ".acquisition",
+    "ThrottledSource": ".acquisition",
+    "AcquisitionRequest": ".acquisition",
+    "Fulfillment": ".acquisition",
+    "AcquisitionRouter": ".acquisition",
+    "AcquisitionService": ".acquisition",
+    "register_source": ".acquisition",
+    "get_source": ".acquisition",
+    "available_sources": ".acquisition",
+    "source_descriptions": ".acquisition",
+    "UnitCost": ".acquisition",
+    "TableCost": ".acquisition",
+    "EscalatingCost": ".acquisition",
+    "BudgetLedger": ".acquisition",
+    "WorkerPool": ".acquisition",
+    "CrowdsourcingSimulator": ".acquisition",
     # monitoring
-    "Alert",
-    "AlertRule",
-    "CampaignMonitor",
-    "HealthEvaluator",
-    "alert_history",
-    "available_rules",
-    "get_rule",
-    "register_rule",
-]
+    "Alert": ".monitor",
+    "AlertRule": ".monitor",
+    "CampaignMonitor": ".monitor",
+    "HealthEvaluator": ".monitor",
+    "alert_history": ".monitor",
+    "available_rules": ".monitor",
+    "get_rule": ".monitor",
+    "register_rule": ".monitor",
+}
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

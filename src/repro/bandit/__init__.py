@@ -9,6 +9,11 @@ show what a model-free sequential policy achieves compared to Slice Tuner's
 learning-curve-driven optimization.
 """
 
-from repro.bandit.rotting import BanditResult, RottingBanditAcquirer
+from repro._lazy import lazy_exports
 
-__all__ = ["RottingBanditAcquirer", "BanditResult"]
+_EXPORTS = {
+    "RottingBanditAcquirer": ".rotting",
+    "BanditResult": ".rotting",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

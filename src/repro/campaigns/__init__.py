@@ -15,50 +15,28 @@ API:
   budget-fair round-robin inside priority lanes.
 """
 
-from repro.campaigns.campaign import (
-    Campaign,
-    CampaignSpec,
-    build_campaign_tuner,
-    campaign_summary,
-)
-from repro.campaigns.scheduler import (
-    CampaignScheduler,
-    SchedulerTick,
-)
-from repro.campaigns.store import (
-    COMPLETED,
-    FAILED,
-    PAUSED,
-    PENDING,
-    RESUMABLE,
-    RUNNING,
-    CampaignEvent,
-    CampaignRecord,
-    CampaignSnapshot,
-    CampaignStore,
-    InMemoryStore,
-    SqliteStore,
-    replay_events,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "CampaignEvent",
-    "CampaignRecord",
-    "CampaignScheduler",
-    "CampaignSnapshot",
-    "CampaignSpec",
-    "CampaignStore",
-    "InMemoryStore",
-    "SchedulerTick",
-    "SqliteStore",
-    "build_campaign_tuner",
-    "campaign_summary",
-    "replay_events",
-    "COMPLETED",
-    "FAILED",
-    "PAUSED",
-    "PENDING",
-    "RESUMABLE",
-    "RUNNING",
-]
+_EXPORTS = {
+    "Campaign": ".campaign",
+    "CampaignEvent": ".store",
+    "CampaignRecord": ".store",
+    "CampaignScheduler": ".scheduler",
+    "CampaignSnapshot": ".store",
+    "CampaignSpec": ".campaign",
+    "CampaignStore": ".store",
+    "InMemoryStore": ".store",
+    "SchedulerTick": ".scheduler",
+    "SqliteStore": ".store",
+    "build_campaign_tuner": ".campaign",
+    "campaign_summary": ".campaign",
+    "replay_events": ".store",
+    "COMPLETED": ".store",
+    "FAILED": ".store",
+    "PAUSED": ".store",
+    "PENDING": ".store",
+    "RESUMABLE": ".store",
+    "RUNNING": ".store",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

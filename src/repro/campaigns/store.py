@@ -54,6 +54,10 @@ FAILED = "failed"
 #: its stored result).
 RESUMABLE = (PENDING, RUNNING, PAUSED, FAILED)
 
+#: Store statuses that end a live event stream (a paused campaign may be
+#: resumed later; the client reconnects with its cursor).
+TERMINAL_STATUSES = (COMPLETED, FAILED, PAUSED)
+
 
 @dataclass(frozen=True)
 class CampaignRecord:

@@ -1,6 +1,6 @@
 """Command-line interface for the Slice Tuner reproduction.
 
-Thirteen subcommands cover the common workflows without writing any Python:
+Fourteen subcommands cover the common workflows without writing any Python:
 
 * ``curves`` — estimate and print the per-slice learning curves of a dataset.
 * ``plan`` — print the One-shot acquisition plan for a budget (no data is
@@ -53,18 +53,28 @@ Thirteen subcommands cover the common workflows without writing any Python:
   cursor.  ``--verify`` cross-checks every view row-for-row against a pure
   Python reference; ``--json`` emits the same ``repro.report/1`` payload
   the daemon serves at ``/reports/summary`` and ``/campaigns/<id>/report``.
+* ``monitor`` — health and alerting: ``rules`` (the registered SLO
+  rules), ``alerts`` (the durable alert history of a store), ``status``
+  (per-component health folded from a store), ``watch`` (a live dashboard
+  over a daemon) and ``bench`` (the benchmark-regression watchdog).
 * ``strategies`` — list every registered acquisition strategy.
 * ``sources`` — list every registered data-source provider.
 
 Every subcommand accepts ``--quiet`` (print only essential results) and the
 process exits with code 0 on success, 2 on configuration/usage errors (the
 same code argparse uses), and a raised traceback only for genuine bugs.
-``run``, ``campaign``, ``report``, ``cache``, ``telemetry``,
-``strategies``, ``sources``,
-and the ``remote`` commands also accept ``--json`` for machine-readable
+``run``, ``campaign``, ``report``, ``cache``, ``telemetry``, ``monitor``,
+``strategies``, ``sources``, and the ``remote`` commands also accept ``--json`` for machine-readable
 output: one JSON object on stdout carrying a ``schema`` tag (e.g.
 ``repro.run/1``) that stays stable across releases — the README documents
 the full tag inventory.
+
+Start-up pays only for what a command uses: this module imports the stdlib
+plus the dependency-free ``repro.telemetry`` and ``repro.utils`` leaves, and
+each ``run_*`` handler imports the subsystem it drives.  Registry-backed
+options validate through argparse ``type=`` functions, which argparse calls
+only for the subcommand being parsed, so ``remote list`` or ``report`` never
+load numpy.
 
 Examples::
 
@@ -97,66 +107,19 @@ import signal
 import sys
 import threading
 import time
-from typing import Callable, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.acquisition.providers import source_descriptions
-from repro.analytics import Analytics, assert_consistent
-from repro.campaigns import (
-    RESUMABLE,
-    Campaign,
-    CampaignScheduler,
-    CampaignSpec,
-    SqliteStore,
-    campaign_summary,
-    replay_events,
-)
-from repro.core.registry import (
-    available_strategies,
-    get_strategy,
-    is_registered,
-    strategy_descriptions,
-)
-from repro.datasets.registry import available_tasks
-from repro.engine.cache import InMemoryResultCache, ResultCache
-from repro.engine.diskcache import SqliteResultCache, default_cache_path
-from repro.engine.executor import SerialExecutor, available_executors, get_executor
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import (
-    allocations_table,
-    cache_stats_table,
-    engine_cache_stats,
-    methods_table,
-    report_tables,
-    server_stats_table,
-    server_status_line,
-)
-from repro.experiments.runner import (
-    SOURCE_KINDS,
-    campaign_suite,
-    compare_methods,
-    discovery_for,
-    prepare_instance,
-    prepare_named_instance,
-)
-from repro.experiments.scenarios import list_scenarios
-from repro.core.tuner import SliceTuner, SliceTunerConfig
-from repro.slices.discovery import (
-    available_discovery_methods,
-    discovery_method_descriptions,
-    get_discovery_method,
-    is_discovery_method,
-)
-from repro.serve import TunerClient, TunerServer, TunerService
 from repro import telemetry
-from repro.monitor import (
-    HealthEvaluator,
-    alert_history,
-    available_rules,
-    get_rule,
-    watchdog,
-)
 from repro.utils.exceptions import ConfigurationError, ReproError
 from repro.utils.tables import format_table
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.campaigns import Campaign, SqliteStore
+    from repro.core.tuner import SliceTuner
+    from repro.engine.cache import ResultCache
+    from repro.engine.diskcache import SqliteResultCache
+    from repro.experiments.config import ExperimentConfig
 
 #: Default campaign store location for the ``campaign`` family of commands.
 DEFAULT_STORE = "campaigns.sqlite"
@@ -197,6 +160,9 @@ def _build_result_cache(args: argparse.Namespace) -> ResultCache:
     surviving :class:`~repro.engine.diskcache.SqliteResultCache`; without
     one, the classic per-process :class:`InMemoryResultCache`.
     """
+    from repro.engine.cache import InMemoryResultCache
+    from repro.engine.diskcache import SqliteResultCache, default_cache_path
+
     cache_dir = _resolve_cache_dir(args)
     if cache_dir is None:
         return InMemoryResultCache()
@@ -206,6 +172,8 @@ def _build_result_cache(args: argparse.Namespace) -> ResultCache:
 
 def _require_disk_cache(args: argparse.Namespace) -> SqliteResultCache:
     """The persistent cache the ``cache`` subcommands operate on."""
+    from repro.engine.diskcache import SqliteResultCache, default_cache_path
+
     cache_dir = _resolve_cache_dir(args)
     if cache_dir is None:
         raise ConfigurationError(
@@ -248,6 +216,8 @@ def _require_trace_dir(args: argparse.Namespace) -> str:
 
 def _registered_method(name: str) -> str:
     """argparse type for ``--methods``: any registered strategy name."""
+    from repro.core.registry import available_strategies, is_registered
+
     if not is_registered(name):
         raise argparse.ArgumentTypeError(
             f"unknown strategy {name!r}; run `python -m repro.cli strategies` "
@@ -258,6 +228,8 @@ def _registered_method(name: str) -> str:
 
 def _registered_discovery(name: str) -> str:
     """argparse type for ``--discover``: any registered discovery method."""
+    from repro.slices.discovery import available_discovery_methods, is_discovery_method
+
     if not is_discovery_method(name):
         raise argparse.ArgumentTypeError(
             f"unknown discovery method {name!r}; run `python -m repro.cli "
@@ -267,6 +239,24 @@ def _registered_discovery(name: str) -> str:
     return name.strip().lower()
 
 
+def _one_of(kind: str, names: Callable[[], Sequence[str]]) -> Callable[[str], str]:
+    """argparse type accepting any ``kind`` name the registry ``names()`` lists.
+
+    argparse calls a ``type`` only for the subcommand actually parsed, so
+    building the parser loads no registry (and, for most commands, no numpy).
+    """
+
+    def check(value: str) -> str:
+        valid = names()
+        if value not in valid:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind} {value!r} (choose from {', '.join(valid)})"
+            )
+        return value
+
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -274,6 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slice Tuner: selective data acquisition (SIGMOD 2021 reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    dataset = _one_of("dataset", lambda: import_module("repro.datasets.registry").available_tasks())
+    scenario = _one_of("scenario", lambda: import_module("repro.experiments.scenarios").list_scenarios())
+    source_kind = _one_of("source", lambda: import_module("repro.experiments.runner").SOURCE_KINDS)
+    executor = _one_of("executor", lambda: import_module("repro.engine.executor").available_executors())
 
     def add_quiet(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -295,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--dataset",
             default="fashion_like",
-            choices=available_tasks(),
+            type=dataset,
             help="synthetic dataset to use",
         )
         sub.add_argument(
             "--scenario",
             default="basic",
-            choices=list_scenarios(),
+            type=scenario,
             help="initial-size scenario",
         )
         sub.add_argument("--initial-size", type=int, default=150, help="base initial size per slice")
@@ -395,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--source",
         default=None,
-        choices=SOURCE_KINDS,
+        type=source_kind,
         help="acquisition setup to route requests across (defaults to the "
         "scenario's own source kind)",
     )
@@ -427,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--executor",
         default="serial",
-        choices=available_executors(),
+        type=executor,
         help="execution backend for the trainings (results are identical "
         "for every backend)",
     )
@@ -462,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--executor",
         default="serial",
-        choices=available_executors(),
+        type=executor,
         help="execution backend for the (method, trial) grid; results are "
         "identical for every backend",
     )
@@ -496,12 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_store(c_start)
     add_trace_out(c_start)
     c_start.add_argument("--name", default=None, help="campaign name (required unless --suite)")
-    c_start.add_argument("--dataset", default="adult_like", choices=available_tasks())
-    c_start.add_argument("--scenario", default="basic", choices=list_scenarios())
+    c_start.add_argument("--dataset", default="adult_like", type=dataset)
+    c_start.add_argument("--scenario", default="basic", type=scenario)
     c_start.add_argument(
         "--source",
         default=None,
-        choices=SOURCE_KINDS,
+        type=source_kind,
         help="acquisition setup (defaults to the scenario's own source kind)",
     )
     c_start.add_argument("--method", default="moderate", type=_registered_method, metavar="STRATEGY")
@@ -736,9 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_url(r_submit)
     r_submit.add_argument("--name", required=True, help="campaign name")
-    r_submit.add_argument("--dataset", default="adult_like", choices=available_tasks())
-    r_submit.add_argument("--scenario", default="basic", choices=list_scenarios())
-    r_submit.add_argument("--source", default=None, choices=SOURCE_KINDS)
+    r_submit.add_argument("--dataset", default="adult_like", type=dataset)
+    r_submit.add_argument("--scenario", default="basic", type=scenario)
+    r_submit.add_argument("--source", default=None, type=source_kind)
     r_submit.add_argument(
         "--method", default="moderate", type=_registered_method, metavar="STRATEGY"
     )
@@ -918,6 +912,8 @@ def _experiment_config(
     trials: int,
     extra: dict | None = None,
 ) -> ExperimentConfig:
+    from repro.experiments.config import ExperimentConfig
+
     return ExperimentConfig(
         dataset=args.dataset,
         scenario=args.scenario,
@@ -935,6 +931,9 @@ def _experiment_config(
 
 
 def _build_tuner(args: argparse.Namespace, lam: float = 1.0) -> SliceTuner:
+    from repro.core.tuner import SliceTuner, SliceTunerConfig
+    from repro.experiments.runner import prepare_instance
+
     config = _experiment_config(args, methods=("moderate",), budget=1.0, lam=lam, trials=1)
     sliced, source = prepare_instance(config, seed=args.seed)
     return SliceTuner(
@@ -977,6 +976,12 @@ def run_plan(args: argparse.Namespace) -> str:
 
 def run_discover(args: argparse.Namespace) -> str:
     """The ``discover`` subcommand: fit one discovery method, print the partition."""
+    from repro.slices.discovery import (
+        available_discovery_methods,
+        discovery_method_descriptions,
+        get_discovery_method,
+    )
+
     if args.list_methods:
         descriptions = discovery_method_descriptions()
         if args.quiet:
@@ -988,8 +993,11 @@ def run_discover(args: argparse.Namespace) -> str:
         )
 
     from repro.curves.estimator import default_model_factory
+    from repro.engine.cache import InMemoryResultCache
+    from repro.engine.executor import SerialExecutor
     from repro.engine.factories import describe_factory
     from repro.engine.job import TrainingJob, stable_seed
+    from repro.experiments.runner import prepare_named_instance
 
     config = _experiment_config(args, methods=("moderate",), budget=1.0, lam=1.0, trials=1)
     sliced, _ = prepare_named_instance(config, seed=args.seed)
@@ -1061,6 +1069,11 @@ def run_run(args: argparse.Namespace) -> str:
     """The ``run`` subcommand: one strategy end to end + the fulfillment log."""
     if args.resume is not None:
         return _resume_campaigns(args, [args.resume])
+    from repro.core.tuner import SliceTuner, SliceTunerConfig
+    from repro.engine.executor import get_executor
+    from repro.experiments.reporting import cache_stats_table, engine_cache_stats
+    from repro.experiments.runner import discovery_for, prepare_named_instance
+
     extra = {} if args.source is None else {"source": args.source}
     if args.discover is not None:
         extra["discover"] = args.discover
@@ -1208,6 +1221,10 @@ def run_run(args: argparse.Namespace) -> str:
 
 def run_compare(args: argparse.Namespace) -> str:
     """The ``compare`` subcommand: Table-2/6-style method comparison."""
+    from repro.engine.executor import get_executor
+    from repro.experiments.reporting import allocations_table, methods_table
+    from repro.experiments.runner import compare_methods, prepare_instance
+
     config = _experiment_config(
         args,
         methods=tuple(args.methods),
@@ -1303,6 +1320,8 @@ def _combined_progress(quiet: bool):
 
 def _suite_summary(results, executor, quiet: bool) -> str:
     """Render ``[(display name, TuningResult), ...]`` plus the shared cache."""
+    from repro.experiments.reporting import cache_stats_table
+
     lines = [
         f"{name}: iterations={result.n_iterations} spent={result.spent:.2f} "
         f"acquired={sum(result.total_acquired.values())}"
@@ -1321,6 +1340,10 @@ def _suite_summary(results, executor, quiet: bool) -> str:
 
 def run_campaign_start(args: argparse.Namespace) -> str:
     """``campaign start``: one campaign from flags, or the builtin suite."""
+    from repro.campaigns import Campaign, CampaignSpec, SqliteStore
+    from repro.engine.executor import SerialExecutor
+    from repro.experiments.runner import campaign_suite
+
     with SqliteStore(args.store) as store:
         if args.suite:
             result_cache = _build_result_cache(args)
@@ -1391,6 +1414,8 @@ def run_campaign_start(args: argparse.Namespace) -> str:
 
 
 def _campaign_result_text(campaign: Campaign, result, quiet: bool) -> str:
+    from repro.experiments.reporting import cache_stats_table, engine_cache_stats
+
     essential = (
         f"{campaign.campaign_id}: completed — iterations={result.n_iterations} "
         f"spent={result.spent:.2f} acquired={sum(result.total_acquired.values())}"
@@ -1409,6 +1434,8 @@ def _campaign_result_text(campaign: Campaign, result, quiet: bool) -> str:
 
 
 def _resume_campaigns(args: argparse.Namespace, campaign_ids: list[str]) -> str:
+    from repro.campaigns import CampaignScheduler, SqliteStore
+
     with SqliteStore(args.store) as store:
         result_cache = _build_result_cache(args)
         try:
@@ -1444,6 +1471,8 @@ def _resume_campaigns(args: argparse.Namespace, campaign_ids: list[str]) -> str:
 
 def run_campaign_resume(args: argparse.Namespace) -> str:
     """``campaign resume``: continue one campaign (or every unfinished one)."""
+    from repro.campaigns import RESUMABLE, SqliteStore
+
     if args.resume_all and args.campaign_id:
         raise ConfigurationError("pass either a campaign id or --all, not both")
     if args.resume_all:
@@ -1512,6 +1541,8 @@ def _show_quiet(summary: dict) -> str:
 
 def run_campaign_list(args: argparse.Namespace) -> str:
     """``campaign list``: one row per stored campaign."""
+    from repro.campaigns import SqliteStore, campaign_summary
+
     with SqliteStore(args.store) as store:
         # campaign_summary is the same fold the daemon's ``GET /campaigns``
         # uses, so local and remote tooling share one parser.
@@ -1530,6 +1561,8 @@ def run_campaign_list(args: argparse.Namespace) -> str:
 
 def run_campaign_show(args: argparse.Namespace) -> str:
     """``campaign show``: replay one campaign's event log."""
+    from repro.campaigns import SqliteStore, campaign_summary, replay_events
+
     with SqliteStore(args.store) as store:
         # Same fold as the daemon's ``GET /campaigns/<id>`` payload.
         summary = campaign_summary(store, args.campaign_id)
@@ -1878,6 +1911,10 @@ def run_report(args: argparse.Namespace) -> str:
             f"no campaign store at {args.store!r}; start one with "
             f"`campaign start` (or pass --store)"
         )
+    from repro.analytics import Analytics, assert_consistent
+    from repro.campaigns import SqliteStore
+    from repro.experiments.reporting import report_tables
+
     with SqliteStore(args.store) as store:
         with Analytics(store, path=args.analytics_path) as analytics:
             refreshed = analytics.rebuild() if args.rebuild else analytics.refresh()
@@ -1917,6 +1954,8 @@ def run_report(args: argparse.Namespace) -> str:
 
 
 def _monitor_store(args: argparse.Namespace) -> SqliteStore:
+    from repro.campaigns import SqliteStore
+
     if not os.path.exists(args.store):
         raise ConfigurationError(
             f"no campaign store at {args.store!r}; start one with "
@@ -1991,8 +2030,10 @@ def run_monitor(args: argparse.Namespace) -> str:
     ``monitor alerts`` replays the store's ``alert`` events exactly as
     ``GET /alerts`` and the ``alert_history`` analytics view do.
     """
-    command = args.monitor_command
+    from repro.monitor import HealthEvaluator, alert_history, available_rules, get_rule, watchdog
+    from repro.serve.client import TunerClient
 
+    command = args.monitor_command
     if command == "rules":
         rules = [get_rule(name).to_dict() for name in available_rules()]
         if args.json_output:
@@ -2195,6 +2236,10 @@ def run_serve(args: argparse.Namespace) -> str:
     restarted daemon with ``--resume-all`` continues each one
     byte-identically.
     """
+    from repro.campaigns import SqliteStore
+    from repro.experiments.reporting import server_stats_table, server_status_line
+    from repro.serve import TunerServer, TunerService
+
     store = SqliteStore(args.store)
     result_cache = _build_result_cache(args)
     app = TunerService(store=store, result_cache=result_cache)
@@ -2271,6 +2316,9 @@ def _remote_submit_spec(args: argparse.Namespace) -> dict:
 
 def run_remote(args: argparse.Namespace) -> str:
     """Dispatch for the ``remote`` family: thin clients over TunerClient."""
+    from repro.experiments.reporting import server_stats_table, server_status_line
+    from repro.serve.client import TunerClient
+
     client = TunerClient(args.url, timeout=args.timeout)
     command = args.remote_command
 
@@ -2413,6 +2461,8 @@ def run_remote(args: argparse.Namespace) -> str:
 
 def run_strategies(args: argparse.Namespace) -> str:
     """The ``strategies`` subcommand: list the acquisition-strategy registry."""
+    from repro.core.registry import available_strategies, get_strategy, strategy_descriptions
+
     if args.json_output:
         return _json_output(
             "repro.strategies/1",
@@ -2449,6 +2499,8 @@ def run_strategies(args: argparse.Namespace) -> str:
 
 def run_sources(args: argparse.Namespace) -> str:
     """The ``sources`` subcommand: list the data-source provider registry."""
+    from repro.acquisition.providers import source_descriptions
+
     descriptions = source_descriptions()
     if args.json_output:
         return _json_output(

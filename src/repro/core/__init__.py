@@ -25,78 +25,43 @@ The pieces, bottom-up:
   of Figure 4: estimate curves, optimize, acquire, repeat, evaluate.
 """
 
-from repro.core.baselines import (
-    AllocationBaselineStrategy,
-    proportional_allocation,
-    uniform_allocation,
-    water_filling_allocation,
-)
-from repro.core.imbalance import get_change_ratio, imbalance_ratio
-from repro.core.iterative import ScheduledIterativeStrategy
-from repro.core.oneshot import OneShotAlgorithm, OneShotStrategy
-from repro.core.optimizer import (
-    OptimizationResult,
-    optimize_allocation,
-    round_allocation,
-)
-from repro.core.plan import AcquisitionPlan, IterationRecord, TuningResult
-from repro.core.problem import SelectiveAcquisitionProblem
-from repro.core.registry import (
-    available_strategies,
-    get_strategy,
-    is_registered,
-    register_strategy,
-    strategy_descriptions,
-)
-from repro.core.session import (
-    FulfillmentEvent,
-    IterationEvent,
-    SessionEvent,
-    TunerSession,
-)
-from repro.core.strategies import (
-    AggressiveStrategy,
-    ConservativeStrategy,
-    LimitStrategy,
-    ModerateStrategy,
-    make_strategy,
-)
-from repro.core.strategy_api import AcquisitionStrategy, TunerState
-from repro.core.tuner import SliceTuner, SliceTunerConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SelectiveAcquisitionProblem",
-    "OptimizationResult",
-    "optimize_allocation",
-    "round_allocation",
-    "uniform_allocation",
-    "water_filling_allocation",
-    "proportional_allocation",
-    "imbalance_ratio",
-    "get_change_ratio",
-    "LimitStrategy",
-    "ConservativeStrategy",
-    "ModerateStrategy",
-    "AggressiveStrategy",
-    "make_strategy",
-    "OneShotAlgorithm",
-    "AcquisitionPlan",
-    "IterationRecord",
-    "TuningResult",
-    "AcquisitionStrategy",
-    "TunerState",
-    "OneShotStrategy",
-    "ScheduledIterativeStrategy",
-    "AllocationBaselineStrategy",
-    "register_strategy",
-    "get_strategy",
-    "available_strategies",
-    "strategy_descriptions",
-    "is_registered",
-    "TunerSession",
-    "FulfillmentEvent",
-    "IterationEvent",
-    "SessionEvent",
-    "SliceTuner",
-    "SliceTunerConfig",
-]
+_EXPORTS = {
+    "SelectiveAcquisitionProblem": ".problem",
+    "OptimizationResult": ".optimizer",
+    "optimize_allocation": ".optimizer",
+    "round_allocation": ".optimizer",
+    "uniform_allocation": ".baselines",
+    "water_filling_allocation": ".baselines",
+    "proportional_allocation": ".baselines",
+    "imbalance_ratio": ".imbalance",
+    "get_change_ratio": ".imbalance",
+    "LimitStrategy": ".strategies",
+    "ConservativeStrategy": ".strategies",
+    "ModerateStrategy": ".strategies",
+    "AggressiveStrategy": ".strategies",
+    "make_strategy": ".strategies",
+    "OneShotAlgorithm": ".oneshot",
+    "AcquisitionPlan": ".plan",
+    "IterationRecord": ".plan",
+    "TuningResult": ".plan",
+    "AcquisitionStrategy": ".strategy_api",
+    "TunerState": ".strategy_api",
+    "OneShotStrategy": ".oneshot",
+    "ScheduledIterativeStrategy": ".iterative",
+    "AllocationBaselineStrategy": ".baselines",
+    "register_strategy": ".registry",
+    "get_strategy": ".registry",
+    "available_strategies": ".registry",
+    "strategy_descriptions": ".registry",
+    "is_registered": ".registry",
+    "TunerSession": ".session",
+    "FulfillmentEvent": ".session",
+    "IterationEvent": ".session",
+    "SessionEvent": ".session",
+    "SliceTuner": ".tuner",
+    "SliceTunerConfig": ".tuner",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

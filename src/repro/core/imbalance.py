@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.utils.exceptions import OptimizationError
 
@@ -75,6 +74,8 @@ def get_change_ratio(
             f"target ratio {target_ratio} is not bracketed by the current ratio "
             f"{start:.4f} and the full-allocation ratio {end:.4f}"
         )
+    from scipy import optimize  # on first use: start-up stays scipy-free
+
     return float(
         optimize.brentq(lambda x: ratio_at(x) - target_ratio, 0.0, 1.0, xtol=1e-10)
     )

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.problem import SelectiveAcquisitionProblem
 from repro.utils.exceptions import OptimizationError
@@ -120,6 +119,8 @@ def solve_slsqp(problem: SelectiveAcquisitionProblem) -> np.ndarray:
         }
     ]
     bounds = [(0.0, budget / c) for c in costs]
+    from scipy import optimize  # on first use: start-up stays scipy-free
+
     result = optimize.minimize(
         objective,
         start,

@@ -17,34 +17,23 @@ subsets of the data.
 * :mod:`~repro.curves.reliability` — curve averaging and reliability scores.
 """
 
-from repro.curves.estimator import (
-    CurveEstimationConfig,
-    CurvePoint,
-    LearningCurveEstimator,
-)
-from repro.curves.fitting import fit_power_law, fit_power_law_with_floor
-from repro.curves.parametric import (
-    CURVE_FAMILIES,
-    CurveFamily,
-    fit_family,
-    select_best_family,
-)
-from repro.curves.power_law import FittedCurve, PowerLawCurve, PowerLawWithFloor
-from repro.curves.reliability import average_curves, curve_reliability
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PowerLawCurve",
-    "PowerLawWithFloor",
-    "FittedCurve",
-    "fit_power_law",
-    "fit_power_law_with_floor",
-    "CurveFamily",
-    "CURVE_FAMILIES",
-    "fit_family",
-    "select_best_family",
-    "CurvePoint",
-    "CurveEstimationConfig",
-    "LearningCurveEstimator",
-    "average_curves",
-    "curve_reliability",
-]
+_EXPORTS = {
+    "PowerLawCurve": ".power_law",
+    "PowerLawWithFloor": ".power_law",
+    "FittedCurve": ".power_law",
+    "fit_power_law": ".fitting",
+    "fit_power_law_with_floor": ".fitting",
+    "CurveFamily": ".parametric",
+    "CURVE_FAMILIES": ".parametric",
+    "fit_family": ".parametric",
+    "select_best_family": ".parametric",
+    "CurvePoint": ".estimator",
+    "CurveEstimationConfig": ".estimator",
+    "LearningCurveEstimator": ".estimator",
+    "average_curves": ".reliability",
+    "curve_reliability": ".reliability",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

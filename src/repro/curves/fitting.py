@@ -12,7 +12,6 @@ which matters because the estimator calls it thousands of times.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.curves.power_law import PowerLawCurve, PowerLawWithFloor
 from repro.utils.exceptions import FittingError
@@ -111,6 +110,8 @@ def fit_power_law_with_floor(
 
     def model(x: np.ndarray, b: float, a: float, c: float) -> np.ndarray:
         return b * np.power(x, -a) + c
+
+    from scipy import optimize  # on first use: start-up stays scipy-free
 
     sigma = 1.0 / np.sqrt(weights)
     try:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.curves.fitting import _validate_points, fit_power_law
 from repro.utils.exceptions import FittingError
@@ -141,6 +140,8 @@ def fit_family(
                 f"{sorted(CURVE_FAMILIES)}"
             ) from None
     sizes, losses, weights = _validate_points(sizes, losses, weights)
+    from scipy import optimize  # on first use: start-up stays scipy-free
+
     sigma = 1.0 / np.sqrt(weights)
     try:
         params, _ = optimize.curve_fit(

@@ -28,51 +28,31 @@ that observation into infrastructure:
   stable name.
 """
 
-from repro.engine.cache import CacheStats, CurveCache, InMemoryResultCache, ResultCache
-from repro.engine.diskcache import SqliteCurveCache, SqliteResultCache, default_cache_path
-from repro.engine.executor import (
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    available_executors,
-    get_executor,
-)
-from repro.engine.factories import (
-    MLPFactory,
-    available_model_factories,
-    describe_factory,
-    get_model_factory,
-    register_model_factory,
-)
-from repro.engine.job import (
-    JobResult,
-    TrainingJob,
-    fingerprint_dataset,
-    run_training_job,
-    stable_seed,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "CurveCache",
-    "Executor",
-    "InMemoryResultCache",
-    "JobResult",
-    "MLPFactory",
-    "ProcessPoolExecutor",
-    "ResultCache",
-    "SerialExecutor",
-    "SqliteCurveCache",
-    "SqliteResultCache",
-    "TrainingJob",
-    "available_executors",
-    "default_cache_path",
-    "available_model_factories",
-    "describe_factory",
-    "fingerprint_dataset",
-    "get_executor",
-    "get_model_factory",
-    "register_model_factory",
-    "run_training_job",
-    "stable_seed",
-]
+_EXPORTS = {
+    "CacheStats": ".cache",
+    "CurveCache": ".cache",
+    "Executor": ".executor",
+    "InMemoryResultCache": ".cache",
+    "JobResult": ".job",
+    "MLPFactory": ".factories",
+    "ProcessPoolExecutor": ".executor",
+    "ResultCache": ".cache",
+    "SerialExecutor": ".executor",
+    "SqliteCurveCache": ".diskcache",
+    "SqliteResultCache": ".diskcache",
+    "TrainingJob": ".job",
+    "available_executors": ".executor",
+    "default_cache_path": ".diskcache",
+    "available_model_factories": ".factories",
+    "describe_factory": ".factories",
+    "fingerprint_dataset": ".job",
+    "get_executor": ".executor",
+    "get_model_factory": ".factories",
+    "register_model_factory": ".factories",
+    "run_training_job": ".job",
+    "stable_seed": ".job",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

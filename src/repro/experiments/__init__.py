@@ -12,34 +12,23 @@
   tables and figure series.
 """
 
-from repro.experiments.config import ExperimentConfig, fast_training_config
-from repro.experiments.influence import InfluencePoint, influence_experiment
-from repro.experiments.runner import (
-    MethodAggregate,
-    MethodOutcome,
-    compare_methods,
-    run_method,
-)
-from repro.experiments.scenarios import Scenario, build_scenario, list_scenarios
-from repro.experiments.reporting import (
-    comparison_table,
-    methods_table,
-    series_text,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "fast_training_config",
-    "Scenario",
-    "build_scenario",
-    "list_scenarios",
-    "MethodOutcome",
-    "MethodAggregate",
-    "run_method",
-    "compare_methods",
-    "InfluencePoint",
-    "influence_experiment",
-    "methods_table",
-    "comparison_table",
-    "series_text",
-]
+_EXPORTS = {
+    "ExperimentConfig": ".config",
+    "fast_training_config": ".config",
+    "Scenario": ".scenarios",
+    "build_scenario": ".scenarios",
+    "list_scenarios": ".scenarios",
+    "MethodOutcome": ".runner",
+    "MethodAggregate": ".runner",
+    "run_method": ".runner",
+    "compare_methods": ".runner",
+    "InfluencePoint": ".influence",
+    "influence_experiment": ".influence",
+    "methods_table": ".reporting",
+    "comparison_table": ".reporting",
+    "series_text": ".reporting",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.engine.cache import CacheStats
-from repro.experiments.runner import MethodAggregate
 from repro.utils.tables import format_series, format_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tuner import SliceTuner
+    from repro.engine.cache import CacheStats
+    from repro.experiments.runner import MethodAggregate
 
 
 def methods_table(

@@ -8,21 +8,16 @@ difference) are also provided for context, although Slice Tuner itself only
 optimizes equalized error rates.
 """
 
-from repro.fairness.metrics import (
-    average_equalized_error_rates,
-    demographic_parity_difference,
-    equalized_odds_difference,
-    max_equalized_error_rates,
-    unfairness,
-)
-from repro.fairness.report import FairnessReport, evaluate_fairness
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "unfairness",
-    "average_equalized_error_rates",
-    "max_equalized_error_rates",
-    "demographic_parity_difference",
-    "equalized_odds_difference",
-    "FairnessReport",
-    "evaluate_fairness",
-]
+_EXPORTS = {
+    "unfairness": ".metrics",
+    "average_equalized_error_rates": ".metrics",
+    "max_equalized_error_rates": ".metrics",
+    "demographic_parity_difference": ".metrics",
+    "equalized_odds_difference": ".metrics",
+    "FairnessReport": ".report",
+    "evaluate_fairness": ".report",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

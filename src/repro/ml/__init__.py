@@ -17,34 +17,29 @@ Public entry points:
   :func:`~repro.ml.metrics.per_slice_losses` — evaluation helpers.
 """
 
-from repro.ml.data import Dataset, train_validation_split
-from repro.ml.linear import LogisticRegression, SoftmaxRegression
-from repro.ml.losses import cross_entropy_loss, sigmoid, softmax
-from repro.ml.metrics import accuracy, log_loss, per_slice_losses
-from repro.ml.mlp import MLPClassifier
-from repro.ml.optim import SGD, Adam, Momentum, Optimizer
-from repro.ml.preprocessing import OneHotEncoder, StandardScaler
-from repro.ml.train import Trainer, TrainingConfig, TrainingResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "train_validation_split",
-    "LogisticRegression",
-    "SoftmaxRegression",
-    "MLPClassifier",
-    "softmax",
-    "sigmoid",
-    "cross_entropy_loss",
-    "log_loss",
-    "accuracy",
-    "per_slice_losses",
-    "Optimizer",
-    "SGD",
-    "Momentum",
-    "Adam",
-    "StandardScaler",
-    "OneHotEncoder",
-    "Trainer",
-    "TrainingConfig",
-    "TrainingResult",
-]
+_EXPORTS = {
+    "Dataset": ".data",
+    "train_validation_split": ".data",
+    "LogisticRegression": ".linear",
+    "SoftmaxRegression": ".linear",
+    "MLPClassifier": ".mlp",
+    "softmax": ".losses",
+    "sigmoid": ".losses",
+    "cross_entropy_loss": ".losses",
+    "log_loss": ".metrics",
+    "accuracy": ".metrics",
+    "per_slice_losses": ".metrics",
+    "Optimizer": ".optim",
+    "SGD": ".optim",
+    "Momentum": ".optim",
+    "Adam": ".optim",
+    "StandardScaler": ".preprocessing",
+    "OneHotEncoder": ".preprocessing",
+    "Trainer": ".train",
+    "TrainingConfig": ".train",
+    "TrainingResult": ".train",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

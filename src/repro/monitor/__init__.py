@@ -20,56 +20,31 @@ it never touches tuner state, so monitored and unmonitored runs produce
 byte-identical tuning results.
 """
 
-from repro.monitor.health import (
-    STATES,
-    Alert,
-    CampaignMonitor,
-    HealthEvaluator,
-    alert_history,
-    worst_status,
-)
-from repro.monitor.regression import (
-    Regression,
-    compare_numbers,
-    load_benchmarks,
-    watchdog,
-)
-from repro.monitor.rules import (
-    COMPONENTS,
-    SEVERITIES,
-    AlertRule,
-    available_rules,
-    campaign_rules,
-    get_rule,
-    is_rule,
-    register_rule,
-    rule_descriptions,
-    service_rules,
-    unregister_rule,
-)
-from repro.monitor.windows import RollingWindow
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COMPONENTS",
-    "SEVERITIES",
-    "STATES",
-    "Alert",
-    "AlertRule",
-    "CampaignMonitor",
-    "HealthEvaluator",
-    "Regression",
-    "RollingWindow",
-    "alert_history",
-    "available_rules",
-    "campaign_rules",
-    "compare_numbers",
-    "get_rule",
-    "is_rule",
-    "load_benchmarks",
-    "register_rule",
-    "rule_descriptions",
-    "service_rules",
-    "unregister_rule",
-    "watchdog",
-    "worst_status",
-]
+_EXPORTS = {
+    "COMPONENTS": ".rules",
+    "SEVERITIES": ".rules",
+    "STATES": ".health",
+    "Alert": ".health",
+    "AlertRule": ".rules",
+    "CampaignMonitor": ".health",
+    "HealthEvaluator": ".health",
+    "Regression": ".regression",
+    "RollingWindow": ".windows",
+    "alert_history": ".health",
+    "available_rules": ".rules",
+    "campaign_rules": ".rules",
+    "compare_numbers": ".regression",
+    "get_rule": ".rules",
+    "is_rule": ".rules",
+    "load_benchmarks": ".regression",
+    "register_rule": ".rules",
+    "rule_descriptions": ".rules",
+    "service_rules": ".rules",
+    "unregister_rule": ".rules",
+    "watchdog": ".regression",
+    "worst_status": ".health",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,15 +19,14 @@ pieces on top of the campaign subsystem:
   client the CLI ``remote`` commands and the tests drive the daemon with.
 """
 
-from repro.serve.app import TunerService
-from repro.serve.client import TunerClient
-from repro.serve.server import TunerServer
-from repro.serve.stream import format_sse_event, parse_sse_stream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TunerClient",
-    "TunerServer",
-    "TunerService",
-    "format_sse_event",
-    "parse_sse_stream",
-]
+_EXPORTS = {
+    "TunerClient": ".client",
+    "TunerServer": ".server",
+    "TunerService": ".app",
+    "format_sse_event": ".stream",
+    "parse_sse_stream": ".stream",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -51,10 +51,6 @@ from repro.telemetry import (
 )
 from repro.utils.exceptions import CampaignError, ConfigurationError
 
-#: Store statuses that end a live event stream (a paused campaign may be
-#: resumed later; the client reconnects with its cursor).
-TERMINAL_STATUSES = (COMPLETED, FAILED, PAUSED)
-
 
 #: The daemon's own counters, registered as ``serve.<name>`` instruments and
 #: reported (in this order, after ``uptime_seconds``) by ``GET /stats``.

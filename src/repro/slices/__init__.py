@@ -13,38 +13,24 @@ pluggable :mod:`~repro.slices.discovery` registry (``get_discovery_method`` /
 :mod:`~repro.slices.methods`.
 """
 
-from repro.slices.discovery import (
-    SliceDiscoveryMethod,
-    available_discovery_methods,
-    discovery_method_descriptions,
-    get_discovery_method,
-    is_discovery_method,
-    register_discovery_method,
-    unregister_discovery_method,
-)
-from repro.slices.predicates import FeaturePredicate, partition_by_predicates
-from repro.slices.slice import Slice, SliceSpec
-from repro.slices.sliced_dataset import SlicedDataset
-from repro.slices.validation import (
-    check_discovered_partition,
-    check_partition,
-    imbalance_ratio,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Slice",
-    "SliceSpec",
-    "SlicedDataset",
-    "FeaturePredicate",
-    "partition_by_predicates",
-    "SliceDiscoveryMethod",
-    "register_discovery_method",
-    "unregister_discovery_method",
-    "get_discovery_method",
-    "available_discovery_methods",
-    "discovery_method_descriptions",
-    "is_discovery_method",
-    "check_partition",
-    "check_discovered_partition",
-    "imbalance_ratio",
-]
+_EXPORTS = {
+    "Slice": ".slice",
+    "SliceSpec": ".slice",
+    "SlicedDataset": ".sliced_dataset",
+    "FeaturePredicate": ".predicates",
+    "partition_by_predicates": ".predicates",
+    "SliceDiscoveryMethod": ".discovery",
+    "register_discovery_method": ".discovery",
+    "unregister_discovery_method": ".discovery",
+    "get_discovery_method": ".discovery",
+    "available_discovery_methods": ".discovery",
+    "discovery_method_descriptions": ".discovery",
+    "is_discovery_method": ".discovery",
+    "check_partition": ".validation",
+    "check_discovered_partition": ".validation",
+    "imbalance_ratio": ".validation",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,9 +1,9 @@
 """Built-in slice discovery methods.
 
-Importing this package registers every built-in method with the registry in
-:mod:`repro.slices.discovery` (the registry also imports these modules
-lazily on first lookup, so ``get_discovery_method("kmeans")`` works without
-an explicit import).
+Importing a method's module registers it with the registry in
+:mod:`repro.slices.discovery`; the registry imports all three on its first
+lookup, so ``get_discovery_method("kmeans")`` works without an explicit
+import.
 
 * :mod:`~repro.slices.methods.stump` — ``"stump"``: error-driven
   feature-threshold rule induction.
@@ -13,12 +13,12 @@ an explicit import).
   label-entropy recursive slicer.
 """
 
-from repro.slices.methods.auto import AutoSliceDiscovery
-from repro.slices.methods.kmeans import ErrorKMeansDiscovery
-from repro.slices.methods.stump import ErrorStumpDiscovery
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AutoSliceDiscovery",
-    "ErrorKMeansDiscovery",
-    "ErrorStumpDiscovery",
-]
+_EXPORTS = {
+    "AutoSliceDiscovery": ".auto",
+    "ErrorKMeansDiscovery": ".kmeans",
+    "ErrorStumpDiscovery": ".stump",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

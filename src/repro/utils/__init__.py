@@ -5,39 +5,25 @@ subpackage (ml substrate, curves, core optimizer, experiments) can rely on
 them without circular imports.
 """
 
-from repro.utils.exceptions import (
-    BudgetError,
-    ConfigurationError,
-    FittingError,
-    OptimizationError,
-    ReproError,
-    SlicingError,
-)
-from repro.utils.rng import RandomState, as_generator, spawn_generators
-from repro.utils.tables import format_series, format_table
-from repro.utils.validation import (
-    check_in_range,
-    check_length_match,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "ConfigurationError",
-    "SlicingError",
-    "FittingError",
-    "OptimizationError",
-    "BudgetError",
-    "RandomState",
-    "as_generator",
-    "spawn_generators",
-    "format_table",
-    "format_series",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_in_range",
-    "check_length_match",
-]
+_EXPORTS = {
+    "ReproError": ".exceptions",
+    "ConfigurationError": ".exceptions",
+    "SlicingError": ".exceptions",
+    "FittingError": ".exceptions",
+    "OptimizationError": ".exceptions",
+    "BudgetError": ".exceptions",
+    "RandomState": ".rng",
+    "as_generator": ".rng",
+    "spawn_generators": ".rng",
+    "format_table": ".tables",
+    "format_series": ".tables",
+    "check_positive": ".validation",
+    "check_non_negative": ".validation",
+    "check_probability": ".validation",
+    "check_in_range": ".validation",
+    "check_length_match": ".validation",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
