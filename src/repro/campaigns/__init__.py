@@ -29,7 +29,7 @@ _EXPORTS = {
     "SchedulerTick": ".scheduler",
     "SqliteStore": ".store",
     "build_campaign_tuner": ".campaign",
-    "campaign_summary": ".campaign",
+    "campaign_summary": ".store",
     "replay_events": ".store",
     "COMPLETED": ".store",
     "FAILED": ".store",

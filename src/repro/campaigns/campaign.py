@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.campaigns.store import (
     COMPLETED,
+    DEFAULT_BUDGET,
     FAILED,
     PAUSED,
     PENDING,
@@ -124,7 +125,7 @@ class CampaignSpec:
     scenario: str = "basic"
     source: str | None = None
     method: str = "moderate"
-    budget: float = 500.0
+    budget: float = DEFAULT_BUDGET
     lam: float = 1.0
     seed: int = 0
     base_size: int = 60
@@ -270,52 +271,6 @@ def build_campaign_tuner(
         executor=executor,
         result_cache=result_cache,
     )
-
-
-def campaign_summary(store: CampaignStore, campaign_id: str) -> dict[str, Any]:
-    """Replay a campaign's event log into its progress summary.
-
-    The one fold of a campaign's progress, and the single source of the
-    summary shape shared by the daemon's ``GET /campaigns`` payload and the
-    CLI (``--json`` and the text tables), so local and remote tooling parse
-    one schema.
-    """
-    record = store.get_campaign(campaign_id)
-    spec = CampaignSpec.from_dict(record.spec)
-    iterations = fulfillments = slice_generation = 0
-    spent = 0.0
-    acquired: dict[str, int] = {}
-    # Only iteration/fulfillment/reslice events are needed; skipping the
-    # rest keeps summaries cheap on stores whose ``completed`` events embed
-    # full results.
-    events = store.events(campaign_id, kinds=("iteration", "fulfillment", "reslice"))
-    for event in replay_events(events):
-        if event.kind == "iteration":
-            iterations += 1
-            spent += float(event.payload.get("spent", 0.0))
-            for name, count in event.payload.get("acquired", {}).items():
-                acquired[name] = acquired.get(name, 0) + int(count)
-        elif event.kind == "fulfillment":
-            fulfillments += 1
-        elif event.kind == "reslice":
-            slice_generation = max(
-                slice_generation, int(event.payload.get("slice_generation", 0))
-            )
-    return {
-        "campaign_id": record.campaign_id,
-        "name": record.name,
-        "status": record.status,
-        "priority": record.priority,
-        "iterations": iterations,
-        "spent": spent,
-        "budget": spec.budget,
-        "acquired": acquired,
-        # Generations start at 0 and increment by one per resume, so the
-        # count is the latest generation + 1 — no need to scan the log.
-        "generations": store.latest_generation(campaign_id) + 1,
-        "fulfillments": fulfillments,
-        "slice_generation": slice_generation,
-    }
 
 
 def _iteration_of(fulfillment_summary: Mapping[str, Any]) -> int:

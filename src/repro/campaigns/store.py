@@ -54,6 +54,9 @@ FAILED = "failed"
 #: its stored result).
 RESUMABLE = (PENDING, RUNNING, PAUSED, FAILED)
 
+#: ``CampaignSpec.budget`` when the stored spec omits it.
+DEFAULT_BUDGET = 500.0
+
 #: Store statuses that end a live event stream (a paused campaign may be
 #: resumed later; the client reconnects with its cursor).
 TERMINAL_STATUSES = (COMPLETED, FAILED, PAUSED)
@@ -226,6 +229,69 @@ def replay_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
     # prefix (older generation) has strictly smaller seq numbers.
     kept.sort(key=lambda event: event.seq)
     return kept
+
+
+def campaign_summary(store: CampaignStore, campaign_id: str) -> dict[str, Any]:
+    """Replay a campaign's event log into its progress summary.
+
+    The one fold of a campaign's progress, and the single source of the
+    summary shape shared by the daemon's ``GET /campaigns`` payload and the
+    CLI (``--json`` and the text tables), so local and remote tooling parse
+    one schema.  It reads the stored spec dict as is, so summarizing loads
+    no tuner code.
+    """
+    record = store.get_campaign(campaign_id)
+    iterations = fulfillments = slice_generation = 0
+    spent = 0.0
+    acquired: dict[str, int] = {}
+    # Only iteration/fulfillment/reslice events are needed; skipping the
+    # rest keeps summaries cheap on stores whose ``completed`` events embed
+    # full results.
+    events = store.events(campaign_id, kinds=("iteration", "fulfillment", "reslice"))
+    for event in replay_events(events):
+        if event.kind == "iteration":
+            iterations += 1
+            spent += float(event.payload.get("spent", 0.0))
+            for name, count in event.payload.get("acquired", {}).items():
+                acquired[name] = acquired.get(name, 0) + int(count)
+        elif event.kind == "fulfillment":
+            fulfillments += 1
+        elif event.kind == "reslice":
+            slice_generation = max(
+                slice_generation, int(event.payload.get("slice_generation", 0))
+            )
+    return {
+        "campaign_id": record.campaign_id,
+        "name": record.name,
+        "status": record.status,
+        "priority": record.priority,
+        "iterations": iterations,
+        "spent": spent,
+        "budget": record.spec.get("budget", DEFAULT_BUDGET),
+        "acquired": acquired,
+        # Generations start at 0 and increment by one per resume, so the
+        # count is the latest generation + 1 — no need to scan the log.
+        "generations": store.latest_generation(campaign_id) + 1,
+        "fulfillments": fulfillments,
+        "slice_generation": slice_generation,
+    }
+
+
+def campaign_summaries(store: CampaignStore) -> list[dict[str, Any]]:
+    """Every campaign's summary in creation order (``GET /campaigns``, ``campaign list``)."""
+    return [campaign_summary(store, record.campaign_id) for record in store.list_campaigns()]
+
+
+def campaign_detail(store: CampaignStore, campaign_id: str) -> dict[str, Any]:
+    """The summary plus the stored spec (``GET /campaigns/<id>``, ``campaign show``)."""
+    summary = campaign_summary(store, campaign_id)
+    summary["spec"] = dict(store.get_campaign(campaign_id).spec)
+    return summary
+
+
+def campaign_log(store: CampaignStore, campaign_id: str) -> list[dict[str, Any]]:
+    """The replayed event log as dicts (``GET /campaigns/<id>/log``, ``campaign show``)."""
+    return [event.to_dict() for event in replay_events(store.events(campaign_id))]
 
 
 class InMemoryStore:

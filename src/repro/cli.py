@@ -50,7 +50,7 @@ Fourteen subcommands cover the common workflows without writing any Python:
   ``telemetry``):
   SQL views with window functions, materialized into a separate
   ``<store>.analytics`` database refreshed incrementally by event-sequence
-  cursor.  ``--verify`` cross-checks every view row-for-row against a pure
+  cursor.  ``--verify`` cross-checks every SQL view row-for-row against a pure
   Python reference; ``--json`` emits the same ``repro.report/1`` payload
   the daemon serves at ``/reports/summary`` and ``/campaigns/<id>/report``.
 * ``monitor`` — health and alerting: ``rules`` (the registered SLO
@@ -67,7 +67,26 @@ same code argparse uses), and a raised traceback only for genuine bugs.
 ``strategies``, ``sources``, and the ``remote`` commands also accept ``--json`` for machine-readable
 output: one JSON object on stdout carrying a ``schema`` tag (e.g.
 ``repro.run/1``) that stays stable across releases — the README documents
-the full tag inventory.
+the full tag inventory.  The read-only store commands (``campaign list``,
+``campaign show``, ``report``, ``monitor alerts``, ``monitor status``) exit
+2 on a ``--store`` path that does not exist and create nothing there.
+
+Leaf inventory (one :data:`LEAVES` entry each)::
+
+    curves, plan, discover, run, compare, serve, report, strategies, sources
+    campaign: start, resume, list, show
+    cache: stats, clear, gc
+    telemetry: spans, metrics, summary
+    remote: submit, list, show, tail, result, wait, pause, resume, stats
+    monitor: rules, alerts, status, watch, bench
+
+Adding a subcommand takes one :data:`LEAVES` entry (its path, handler, help
+and flags, reusing the shared flag groups) plus a handler.  A handler with
+a JSON form returns a :class:`Reply`: its payload, its ``repro.*/1``
+schema tag, and a function rendering the text or ``--quiet`` form from the
+same data; ``main`` prints it, so no handler prints JSON itself.  A handler
+without a JSON form returns its text.  Streaming commands (``remote tail``,
+``monitor watch``, ``serve``, the campaign progress lines) print as they go.
 
 Start-up pays only for what a command uses: this module imports the stdlib
 plus the dependency-free ``repro.telemetry`` and ``repro.utils`` leaves, and
@@ -107,19 +126,21 @@ import signal
 import sys
 import threading
 import time
+from contextlib import closing
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro import telemetry
 from repro.utils.exceptions import ConfigurationError, ReproError
 from repro.utils.tables import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.campaigns import Campaign, SqliteStore
+    from repro.campaigns import Campaign
+    from repro.campaigns.store import SqliteStore
     from repro.core.tuner import SliceTuner
     from repro.engine.cache import ResultCache
-    from repro.engine.diskcache import SqliteResultCache
     from repro.experiments.config import ExperimentConfig
+    from repro.serve.client import TunerClient
 
 #: Default campaign store location for the ``campaign`` family of commands.
 DEFAULT_STORE = "campaigns.sqlite"
@@ -130,56 +151,60 @@ DEFAULT_PORT = 8731
 DEFAULT_URL = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
 
 
-def _json_output(schema: str, payload: dict) -> str:
-    """Render one machine-readable result object (the ``--json`` mode).
+class Reply(NamedTuple):
+    """What a leaf handler with a ``--json`` form returns.
 
-    Every payload carries a ``schema`` tag (``repro.<command>/<version>``)
-    so downstream tooling can detect breaking changes; keys are sorted for
-    diff-stable output.
+    ``payload`` is the machine-readable body, printed with its ``schema``
+    tag (``repro.<command>/<version>``) so downstream tooling can detect
+    breaking changes; ``text`` renders the table or ``--quiet`` form from
+    the same data and runs only when ``--json`` is off.
     """
-    return json.dumps({"schema": schema, **payload}, indent=2, sort_keys=True)
+
+    schema: str
+    payload: dict
+    text: Callable[[], str]
 
 
-def _resolve_cache_dir(args: argparse.Namespace) -> str | None:
-    """The persistent cache directory: ``--cache-dir`` flag, then env var.
+def _render(args: argparse.Namespace, reply: Reply | str) -> str:
+    """The one output path: ``--json`` first, then the text or quiet form.
 
-    ``REPRO_CACHE_DIR`` lets supervisors and CI point every invocation at
-    one shared cache without touching each command line; ``None`` means
-    per-process in-memory caching (the previous behavior).
+    A plain string is the output of a leaf without a JSON form.  JSON keys
+    are sorted for diff-stable output.
     """
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    return cache_dir
+    if isinstance(reply, str):
+        return reply
+    if getattr(args, "json_output", False):
+        return json.dumps({"schema": reply.schema, **reply.payload}, indent=2, sort_keys=True)
+    return reply.text()
 
 
-def _build_result_cache(args: argparse.Namespace) -> ResultCache:
+def _from_env(value: str | None, variable: str) -> str | None:
+    """A directory flag's value, else the environment variable (unset or empty: ``None``)."""
+    return value if value is not None else os.environ.get(variable) or None
+
+
+def _build_result_cache(args: argparse.Namespace, required: bool = False) -> ResultCache:
     """The result cache a subcommand should use.
 
-    With a cache directory configured this is a process-shared, restart-
-    surviving :class:`~repro.engine.diskcache.SqliteResultCache`; without
-    one, the classic per-process :class:`InMemoryResultCache`.
+    The directory comes from ``--cache-dir``, then ``REPRO_CACHE_DIR``, so
+    supervisors and CI can point every invocation at one shared cache.
+    With one configured this is a process-shared, restart-surviving
+    :class:`~repro.engine.diskcache.SqliteResultCache`; without one, the
+    classic per-process :class:`InMemoryResultCache` — or, for the
+    ``cache`` subcommands (``required``), a usage error.
     """
-    from repro.engine.cache import InMemoryResultCache
-    from repro.engine.diskcache import SqliteResultCache, default_cache_path
-
-    cache_dir = _resolve_cache_dir(args)
+    cache_dir = _from_env(getattr(args, "cache_dir", None), "REPRO_CACHE_DIR")
     if cache_dir is None:
+        if required:
+            raise ConfigurationError(
+                "the cache subcommand needs a persistent cache: pass --cache-dir "
+                "or set REPRO_CACHE_DIR"
+            )
+        from repro.engine.cache import InMemoryResultCache
+
         return InMemoryResultCache()
-    os.makedirs(cache_dir, exist_ok=True)
-    return SqliteResultCache(default_cache_path(cache_dir))
-
-
-def _require_disk_cache(args: argparse.Namespace) -> SqliteResultCache:
-    """The persistent cache the ``cache`` subcommands operate on."""
     from repro.engine.diskcache import SqliteResultCache, default_cache_path
 
-    cache_dir = _resolve_cache_dir(args)
-    if cache_dir is None:
-        raise ConfigurationError(
-            "the cache subcommand needs a persistent cache: pass --cache-dir "
-            "or set REPRO_CACHE_DIR"
-        )
     os.makedirs(cache_dir, exist_ok=True)
     return SqliteResultCache(default_cache_path(cache_dir))
 
@@ -194,17 +219,12 @@ def _resolve_trace_dir(args: argparse.Namespace) -> str | None:
     """
     if not hasattr(args, "trace_out"):
         return None
-    trace_dir = args.trace_out
-    if trace_dir is None:
-        trace_dir = os.environ.get("REPRO_TRACE_DIR") or None
-    return trace_dir
+    return _from_env(args.trace_out, "REPRO_TRACE_DIR")
 
 
 def _require_trace_dir(args: argparse.Namespace) -> str:
     """The trace directory a ``telemetry`` inspection subcommand reads."""
-    trace_dir = getattr(args, "trace_dir", None)
-    if trace_dir is None:
-        trace_dir = os.environ.get("REPRO_TRACE_DIR") or None
+    trace_dir = _from_env(args.trace_dir, "REPRO_TRACE_DIR")
     if trace_dir is None:
         raise ConfigurationError(
             "the telemetry subcommand needs a trace directory: pass "
@@ -212,6 +232,56 @@ def _require_trace_dir(args: argparse.Namespace) -> str:
             "`run --trace-out DIR`)"
         )
     return trace_dir
+
+
+def _existing_store(args: argparse.Namespace) -> SqliteStore:
+    """The store a read-only command reads; exit 2, creating nothing, when missing."""
+    from repro.campaigns.store import SqliteStore
+
+    if not os.path.exists(args.store):
+        raise ConfigurationError(
+            f"no campaign store at {args.store!r}; start one with "
+            f"`campaign start` (or pass --store)"
+        )
+    return SqliteStore(args.store)
+
+
+def _require_id_or_all(args: argparse.Namespace) -> None:
+    """``campaign resume`` / ``remote resume`` take a campaign id or ``--all``."""
+    if args.resume_all and args.campaign_id:
+        raise ConfigurationError("pass either a campaign id or --all, not both")
+    if not args.resume_all and not args.campaign_id:
+        raise ConfigurationError(f"{args.leaf} needs a campaign id (or --all)")
+
+
+def _executor_kwargs(args: argparse.Namespace) -> dict:
+    """``get_executor`` keyword arguments from ``--executor``/``--workers``."""
+    if args.workers is not None and args.executor != "process":
+        raise ConfigurationError("--workers only applies to --executor process")
+    return {"max_workers": args.workers} if args.executor == "process" else {}
+
+
+def _spec_fields(args: argparse.Namespace) -> dict:
+    """The ``CampaignSpec`` fields the spec flags describe (start and submit)."""
+    return {
+        "name": args.name,
+        "dataset": args.dataset,
+        "scenario": args.scenario,
+        "source": args.source,
+        "method": args.method,
+        "budget": args.budget,
+        "lam": args.lam,
+        "seed": args.seed,
+        "base_size": args.initial_size,
+        "validation_size": args.validation_size,
+        "epochs": args.epochs,
+        "curve_points": args.curve_points,
+        "priority": args.priority,
+        "checkpoint_every": args.checkpoint_every,
+        "evaluate": args.evaluate,
+        "discover": args.discover,
+        "reslice_every": args.reslice_every if args.discover is not None else 0,
+    }
 
 
 def _registered_method(name: str) -> str:
@@ -257,651 +327,163 @@ def _one_of(kind: str, names: Callable[[], Sequence[str]]) -> Callable[[str], st
     return check
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the top-level argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Slice Tuner: selective data acquisition (SIGMOD 2021 reproduction)",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    dataset = _one_of("dataset", lambda: import_module("repro.datasets.registry").available_tasks())
-    scenario = _one_of("scenario", lambda: import_module("repro.experiments.scenarios").list_scenarios())
-    source_kind = _one_of("source", lambda: import_module("repro.experiments.runner").SOURCE_KINDS)
-    executor = _one_of("executor", lambda: import_module("repro.engine.executor").available_executors())
+_dataset = _one_of("dataset", lambda: import_module("repro.datasets.registry").available_tasks())
+_scenario = _one_of("scenario", lambda: import_module("repro.experiments.scenarios").list_scenarios())
+_source = _one_of("source", lambda: import_module("repro.experiments.runner").SOURCE_KINDS)
+_executor = _one_of("executor", lambda: import_module("repro.engine.executor").available_executors())
 
-    def add_quiet(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--quiet",
-            action="store_true",
-            help="print only essential results (ids, status, final summary)",
-        )
 
-    def add_json(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--json",
-            action="store_true",
-            dest="json_output",
-            help="print one machine-readable JSON object instead of tables "
-            "(stable schema, see the module docs)",
-        )
+def _flag(*names: str, **options) -> tuple:
+    """One ``add_argument`` call, declared as data for the :data:`LEAVES` table."""
+    return names, options
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--dataset",
-            default="fashion_like",
-            type=dataset,
-            help="synthetic dataset to use",
-        )
-        sub.add_argument(
-            "--scenario",
-            default="basic",
-            type=scenario,
-            help="initial-size scenario",
-        )
-        sub.add_argument("--initial-size", type=int, default=150, help="base initial size per slice")
-        sub.add_argument("--validation-size", type=int, default=150, help="validation examples per slice")
-        sub.add_argument("--epochs", type=int, default=30, help="training epochs per model fit")
-        sub.add_argument("--curve-points", type=int, default=5, help="subset sizes measured per learning curve")
-        sub.add_argument("--seed", type=int, default=0, help="base random seed")
-        add_quiet(sub)
 
-    def add_cache_dir(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            dest="cache_dir",
-            help="directory holding the persistent shared result/curve cache "
-            "(sqlite, shared across processes and restarts); defaults to "
-            "the REPRO_CACHE_DIR environment variable, else in-memory",
-        )
+# -- flag groups shared by several leaves, each declared once -----------------------
 
-    def add_trace_out(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--trace-out",
-            default=None,
-            dest="trace_out",
-            metavar="DIR",
-            help="record telemetry: stream spans to DIR/spans.jsonl and "
-            "write the metrics snapshot to DIR/metrics.json on exit "
-            "(defaults to the REPRO_TRACE_DIR environment variable, else "
-            "tracing stays off; results are identical either way)",
-        )
-
-    def add_discovery(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--discover",
-            default=None,
-            type=_registered_discovery,
-            metavar="METHOD",
-            help="re-run this registered slice-discovery method mid-run and "
-            "swap onto the discovered slices (see the discover subcommand)",
-        )
-        sub.add_argument(
-            "--reslice-every",
-            type=int,
-            default=2,
-            help="iteration cadence for re-running discovery "
-            "(only with --discover; default: 2)",
-        )
-
-    curves = subparsers.add_parser("curves", help="estimate per-slice learning curves")
-    add_common(curves)
-
-    discover = subparsers.add_parser(
-        "discover",
-        help="run a slice-discovery method once and print the partition",
-    )
-    add_common(discover)
-    discover.add_argument(
-        "--method",
-        default="kmeans",
+QUIET = (
+    _flag("--quiet", action="store_true", help="print only essential results (ids, status, final summary)"),
+)
+JSON = (
+    _flag(
+        "--json",
+        action="store_true",
+        dest="json_output",
+        help="print one machine-readable JSON object instead of tables "
+        "(stable schema, see the module docs)",
+    ),
+)
+COMMON = (
+    _flag("--dataset", default="fashion_like", type=_dataset, help="synthetic dataset to use"),
+    _flag("--scenario", default="basic", type=_scenario, help="initial-size scenario"),
+    _flag("--initial-size", type=int, default=150, help="base initial size per slice"),
+    _flag("--validation-size", type=int, default=150, help="validation examples per slice"),
+    _flag("--epochs", type=int, default=30, help="training epochs per model fit"),
+    _flag("--curve-points", type=int, default=5, help="subset sizes measured per learning curve"),
+    _flag("--seed", type=int, default=0, help="base random seed"),
+    *QUIET,
+)
+BUDGET = (
+    _flag("--budget", type=float, default=1000.0, help="acquisition budget B"),
+    _flag("--lam", type=float, default=1.0, help="loss/unfairness trade-off weight"),
+)
+METHOD = _flag(
+    "--method",
+    default="moderate",
+    type=_registered_method,
+    metavar="STRATEGY",
+    help="registered strategy name to run (see the strategies subcommand)",
+)
+SOURCE = _flag(
+    "--source",
+    default=None,
+    type=_source,
+    help="acquisition setup to route requests across (defaults to the "
+    "scenario's own source kind)",
+)
+DISCOVERY = (
+    _flag(
+        "--discover",
+        default=None,
         type=_registered_discovery,
         metavar="METHOD",
-        help="registered discovery method to fit (default: kmeans)",
-    )
-    discover.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_methods",
-        help="list the registered discovery methods and exit",
-    )
-    add_json(discover)
-
-    plan = subparsers.add_parser("plan", help="print the One-shot acquisition plan for a budget")
-    add_common(plan)
-    plan.add_argument("--budget", type=float, default=1000.0, help="acquisition budget B")
-    plan.add_argument("--lam", type=float, default=1.0, help="loss/unfairness trade-off weight")
-
-    run = subparsers.add_parser(
-        "run",
-        help="run one strategy end to end and print the fulfillment log",
-    )
-    add_common(run)
-    run.add_argument("--budget", type=float, default=1000.0, help="acquisition budget B")
-    run.add_argument("--lam", type=float, default=1.0, help="loss/unfairness trade-off weight")
-    run.add_argument(
-        "--method",
-        default="moderate",
-        type=_registered_method,
-        metavar="STRATEGY",
-        help="registered strategy name to run (see the strategies subcommand)",
-    )
-    run.add_argument(
-        "--source",
-        default=None,
-        type=source_kind,
-        help="acquisition setup to route requests across (defaults to the "
-        "scenario's own source kind)",
-    )
-    run.add_argument(
-        "--rounds",
+        help="re-run this registered slice-discovery method mid-run and "
+        "swap onto the discovered slices (see the discover subcommand)",
+    ),
+    _flag(
+        "--reslice-every",
         type=int,
-        default=1,
-        help="routing rounds per acquisition request (re-ask throttled or "
-        "partially-delivering providers up to this many times per batch)",
-    )
-    add_discovery(run)
-    run.add_argument(
-        "--evaluate",
-        action="store_true",
-        help="also train and evaluate the model before and after acquisition",
-    )
-    run.add_argument(
-        "--resume",
-        metavar="CAMPAIGN_ID",
-        default=None,
-        help="instead of a fresh run, resume the stored campaign from its "
-        "latest snapshot (shorthand for `campaign resume CAMPAIGN_ID`)",
-    )
-    run.add_argument(
-        "--store",
-        default=DEFAULT_STORE,
-        help=f"campaign store used by --resume (default: {DEFAULT_STORE})",
-    )
-    run.add_argument(
+        default=2,
+        help="iteration cadence for re-running discovery (only with --discover; default: 2)",
+    ),
+)
+EXECUTOR = (
+    _flag(
         "--executor",
         default="serial",
-        type=executor,
+        type=_executor,
         help="execution backend for the trainings (results are identical "
         "for every backend)",
-    )
-    run.add_argument(
+    ),
+    _flag(
         "--workers",
         type=int,
         default=None,
         help="worker processes for --executor process (default: CPU count)",
-    )
-    add_cache_dir(run)
-    add_trace_out(run)
-    add_json(run)
-
-    compare = subparsers.add_parser("compare", help="compare acquisition methods over trials")
-    add_common(compare)
-    compare.add_argument("--budget", type=float, default=1000.0, help="acquisition budget B")
-    compare.add_argument("--lam", type=float, default=1.0, help="loss/unfairness trade-off weight")
-    compare.add_argument(
-        "--methods",
-        nargs="+",
-        default=["uniform", "water_filling", "moderate"],
-        type=_registered_method,
-        metavar="STRATEGY",
-        help="registered strategy names to compare (see the strategies subcommand)",
-    )
-    compare.add_argument("--trials", type=int, default=2, help="independently seeded repetitions")
-    compare.add_argument(
-        "--show-allocations",
-        action="store_true",
-        help="also print the mean per-slice acquisitions (Table 3 style)",
-    )
-    compare.add_argument(
-        "--executor",
-        default="serial",
-        type=executor,
-        help="execution backend for the (method, trial) grid; results are "
-        "identical for every backend",
-    )
-    compare.add_argument(
-        "--workers",
-        type=int,
+    ),
+)
+CACHE_DIR = (
+    _flag(
+        "--cache-dir",
         default=None,
-        help="worker processes for --executor process (default: CPU count)",
-    )
-
-    campaign = subparsers.add_parser(
-        "campaign",
-        help="durable campaign runs: start, resume, list, show",
-    )
-    campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
-
-    def add_store(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--store",
-            default=DEFAULT_STORE,
-            help=f"SQLite campaign store path (default: {DEFAULT_STORE})",
-        )
-        add_cache_dir(sub)
-        add_quiet(sub)
-
-    c_start = campaign_sub.add_parser(
-        "start",
-        help="start a new campaign (or the builtin --suite), persisting "
-        "every iteration",
-    )
-    add_store(c_start)
-    add_trace_out(c_start)
-    c_start.add_argument("--name", default=None, help="campaign name (required unless --suite)")
-    c_start.add_argument("--dataset", default="adult_like", type=dataset)
-    c_start.add_argument("--scenario", default="basic", type=scenario)
-    c_start.add_argument(
-        "--source",
+        dest="cache_dir",
+        help="directory holding the persistent shared result/curve cache "
+        "(sqlite, shared across processes and restarts); defaults to "
+        "the REPRO_CACHE_DIR environment variable, else in-memory",
+    ),
+)
+TRACE_OUT = (
+    _flag(
+        "--trace-out",
         default=None,
-        type=source_kind,
-        help="acquisition setup (defaults to the scenario's own source kind)",
-    )
-    c_start.add_argument("--method", default="moderate", type=_registered_method, metavar="STRATEGY")
-    add_discovery(c_start)
-    c_start.add_argument("--budget", type=float, default=500.0)
-    c_start.add_argument("--lam", type=float, default=1.0)
-    c_start.add_argument("--seed", type=int, default=0)
-    c_start.add_argument("--initial-size", type=int, default=60, help="base initial size per slice")
-    c_start.add_argument("--validation-size", type=int, default=60)
-    c_start.add_argument("--epochs", type=int, default=10)
-    c_start.add_argument("--curve-points", type=int, default=3)
-    c_start.add_argument("--priority", type=int, default=0, help="scheduler lane (higher runs first)")
-    c_start.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        help="snapshot cadence in iterations",
-    )
-    c_start.add_argument(
-        "--evaluate",
-        action="store_true",
-        help="attach before/after evaluation reports to the result",
-    )
-    c_start.add_argument(
-        "--max-steps",
-        type=int,
+        dest="trace_out",
+        metavar="DIR",
+        help="record telemetry: stream spans to DIR/spans.jsonl and "
+        "write the metrics snapshot to DIR/metrics.json on exit "
+        "(defaults to the REPRO_TRACE_DIR environment variable, else "
+        "tracing stays off; results are identical either way)",
+    ),
+)
+STORE = (
+    _flag("--store", default=DEFAULT_STORE, help=f"SQLite campaign store path (default: {DEFAULT_STORE})"),
+    *CACHE_DIR,
+    *QUIET,
+)
+#: The CampaignSpec fields of ``campaign start`` and ``remote submit``
+#: (``--name`` differs: optional with ``--suite``, required for submit).
+SPEC = (
+    _flag("--dataset", default="adult_like", type=_dataset),
+    _flag("--scenario", default="basic", type=_scenario),
+    SOURCE,
+    METHOD,
+    *DISCOVERY,
+    _flag("--budget", type=float, default=500.0),
+    _flag("--lam", type=float, default=1.0),
+    _flag("--seed", type=int, default=0),
+    _flag("--initial-size", type=int, default=60, help="base initial size per slice"),
+    _flag("--validation-size", type=int, default=60),
+    _flag("--epochs", type=int, default=10),
+    _flag("--curve-points", type=int, default=3),
+    _flag("--priority", type=int, default=0, help="scheduler lane (higher runs first)"),
+    _flag("--checkpoint-every", type=int, default=1, help="snapshot cadence in iterations"),
+    _flag("--evaluate", action="store_true", help="attach before/after evaluation reports to the result"),
+)
+TRACE_DIR = (
+    _flag(
+        "--trace-dir",
         default=None,
-        help="pause (checkpointed) after this many iterations instead of "
-        "running to completion",
-    )
-    c_start.add_argument(
-        "--suite",
-        action="store_true",
-        help="run the builtin campaign_suite: 3 heterogeneous campaigns "
-        "multiplexed over one shared engine executor",
-    )
-
-    c_resume = campaign_sub.add_parser(
-        "resume", help="resume stored campaigns after a pause or crash"
-    )
-    add_store(c_resume)
-    add_trace_out(c_resume)
-    c_resume.add_argument(
-        "campaign_id",
-        nargs="?",
-        default=None,
-        help="campaign id to resume (omit with --all)",
-    )
-    c_resume.add_argument(
+        dest="trace_dir",
+        metavar="DIR",
+        help="trace directory to read (defaults to the REPRO_TRACE_DIR environment variable)",
+    ),
+    *QUIET,
+    *JSON,
+)
+URL = (
+    _flag("--url", default=DEFAULT_URL, help=f"daemon base URL (default: {DEFAULT_URL})"),
+    _flag("--timeout", type=float, default=300.0, help="overall wait/request timeout in seconds"),
+    *QUIET,
+    *JSON,
+)
+CAMPAIGN_ID = (_flag("campaign_id", help="campaign id"),)
+ID_OR_ALL = (
+    _flag("campaign_id", nargs="?", default=None, help="campaign id (omit with --all)"),
+    _flag(
         "--all",
         action="store_true",
         dest="resume_all",
-        help="resume every unfinished campaign in the store, multiplexed",
-    )
-    add_json(c_resume)
-
-    c_list = campaign_sub.add_parser("list", help="list every stored campaign")
-    add_store(c_list)
-    add_json(c_list)
-
-    c_show = campaign_sub.add_parser(
-        "show", help="replay one campaign's event log into a progress report"
-    )
-    add_store(c_show)
-    add_json(c_show)
-    c_show.add_argument("campaign_id", help="campaign id to show")
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the tuner service daemon (HTTP campaign API + SSE streams)",
-    )
-    serve.add_argument(
-        "--store",
-        default=DEFAULT_STORE,
-        help=f"SQLite campaign store path (default: {DEFAULT_STORE})",
-    )
-    serve.add_argument("--host", default=DEFAULT_HOST, help="bind address")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=DEFAULT_PORT,
-        help=f"bind port; 0 picks a free one (default: {DEFAULT_PORT})",
-    )
-    serve.add_argument(
-        "--resume-all",
-        action="store_true",
-        dest="resume_all",
-        help="re-activate every unfinished stored campaign on startup",
-    )
-    add_cache_dir(serve)
-    add_trace_out(serve)
-    add_quiet(serve)
-
-    cache = subparsers.add_parser(
-        "cache",
-        help="inspect and maintain the persistent shared result/curve cache",
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_stats = cache_sub.add_parser(
-        "stats", help="tiered hit/miss/size statistics of the shared cache"
-    )
-    add_cache_dir(cache_stats)
-    add_quiet(cache_stats)
-    add_json(cache_stats)
-    cache_clear = cache_sub.add_parser(
-        "clear", help="drop every cached result and curve (keeps statistics)"
-    )
-    add_cache_dir(cache_clear)
-    add_quiet(cache_clear)
-    add_json(cache_clear)
-    cache_gc = cache_sub.add_parser(
-        "gc",
-        help="evict least-recently-accessed entries until the cache fits",
-    )
-    add_cache_dir(cache_gc)
-    add_quiet(cache_gc)
-    add_json(cache_gc)
-    cache_gc.add_argument(
-        "--max-mb",
-        type=float,
-        required=True,
-        dest="max_mb",
-        help="target payload size in megabytes (LRU eviction by last access)",
-    )
-
-    telem = subparsers.add_parser(
-        "telemetry",
-        help="inspect a recorded trace directory: spans, metrics, summary",
-    )
-    telemetry_sub = telem.add_subparsers(dest="telemetry_command", required=True)
-
-    def add_trace_dir(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--trace-dir",
-            default=None,
-            dest="trace_dir",
-            metavar="DIR",
-            help="trace directory to read (defaults to the REPRO_TRACE_DIR "
-            "environment variable)",
-        )
-        add_quiet(sub)
-        add_json(sub)
-
-    t_spans = telemetry_sub.add_parser(
-        "spans", help="the recorded span log (newest last)"
-    )
-    add_trace_dir(t_spans)
-    t_spans.add_argument(
-        "--name",
-        default=None,
-        dest="span_name",
-        help="only spans with this name (e.g. session.iteration)",
-    )
-    t_spans.add_argument(
-        "--limit",
-        type=int,
-        default=0,
-        help="print only the newest N spans (0 = all)",
-    )
-    t_metrics = telemetry_sub.add_parser(
-        "metrics", help="the merged counter/gauge/histogram snapshot"
-    )
-    add_trace_dir(t_metrics)
-    t_summary = telemetry_sub.add_parser(
-        "summary", help="per-span-name timing rollup (count/mean/max/errors)"
-    )
-    add_trace_dir(t_summary)
-
-    report = subparsers.add_parser(
-        "report",
-        help="analytics reports: SQL views over the campaign event log",
-    )
-    report.add_argument(
-        "report_kind",
-        choices=(
-            "summary", "slices", "fulfillment", "fairness", "cache",
-            "telemetry", "alerts",
-        ),
-        help="which report to render (each is one or two analytics views)",
-    )
-    add_store(report)
-    report.add_argument(
-        "--campaign",
-        default=None,
-        dest="campaign_id",
-        help="restrict the report to one campaign id (not valid for fairness)",
-    )
-    report.add_argument(
-        "--analytics",
-        default=None,
-        dest="analytics_path",
-        help="analytics database path (default: <store>.analytics)",
-    )
-    report.add_argument(
-        "--rebuild",
-        action="store_true",
-        help="rebuild the analytics mirror from scratch instead of the "
-        "incremental cursor refresh (the two are byte-identical; this "
-        "exists to prove it and to recover a corrupted mirror)",
-    )
-    report.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check every SQL view row-for-row against the pure-Python "
-        "reference before reporting (exit 2 on any mismatch)",
-    )
-    add_json(report)
-
-    remote = subparsers.add_parser(
-        "remote",
-        help="drive a running tuner service daemon over HTTP",
-    )
-    remote_sub = remote.add_subparsers(dest="remote_command", required=True)
-
-    def add_url(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--url",
-            default=DEFAULT_URL,
-            help=f"daemon base URL (default: {DEFAULT_URL})",
-        )
-        sub.add_argument(
-            "--timeout",
-            type=float,
-            default=300.0,
-            help="overall wait/request timeout in seconds",
-        )
-        add_quiet(sub)
-        add_json(sub)
-
-    r_submit = remote_sub.add_parser(
-        "submit", help="submit a campaign spec to the daemon"
-    )
-    add_url(r_submit)
-    r_submit.add_argument("--name", required=True, help="campaign name")
-    r_submit.add_argument("--dataset", default="adult_like", type=dataset)
-    r_submit.add_argument("--scenario", default="basic", type=scenario)
-    r_submit.add_argument("--source", default=None, type=source_kind)
-    r_submit.add_argument(
-        "--method", default="moderate", type=_registered_method, metavar="STRATEGY"
-    )
-    add_discovery(r_submit)
-    r_submit.add_argument("--budget", type=float, default=500.0)
-    r_submit.add_argument("--lam", type=float, default=1.0)
-    r_submit.add_argument("--seed", type=int, default=0)
-    r_submit.add_argument("--initial-size", type=int, default=60)
-    r_submit.add_argument("--validation-size", type=int, default=60)
-    r_submit.add_argument("--epochs", type=int, default=10)
-    r_submit.add_argument("--curve-points", type=int, default=3)
-    r_submit.add_argument("--priority", type=int, default=0)
-    r_submit.add_argument("--checkpoint-every", type=int, default=1)
-    r_submit.add_argument("--evaluate", action="store_true")
-    r_submit.add_argument(
-        "--wait",
-        action="store_true",
-        help="block until the campaign completes and print its summary",
-    )
-
-    r_list = remote_sub.add_parser("list", help="list the daemon's campaigns")
-    add_url(r_list)
-
-    r_show = remote_sub.add_parser(
-        "show", help="one campaign's progress plus the daemon's health table"
-    )
-    add_url(r_show)
-    r_show.add_argument("campaign_id")
-
-    r_tail = remote_sub.add_parser(
-        "tail", help="stream a campaign's events live (SSE)"
-    )
-    add_url(r_tail)
-    r_tail.add_argument("campaign_id")
-    r_tail.add_argument(
-        "--after",
-        type=int,
-        default=0,
-        help="resume cursor: only stream events with seq > AFTER",
-    )
-    r_tail.add_argument(
-        "--reconnect",
-        type=int,
-        default=0,
-        help="retry dropped connections this many times (resuming from "
-        "the cursor)",
-    )
-
-    r_result = remote_sub.add_parser(
-        "result", help="fetch a completed campaign's TuningResult"
-    )
-    add_url(r_result)
-    r_result.add_argument("campaign_id")
-
-    r_wait = remote_sub.add_parser(
-        "wait", help="block until a campaign completes"
-    )
-    add_url(r_wait)
-    r_wait.add_argument("campaign_id")
-
-    r_pause = remote_sub.add_parser(
-        "pause", help="checkpoint + pause a running campaign"
-    )
-    add_url(r_pause)
-    r_pause.add_argument("campaign_id")
-
-    r_resume = remote_sub.add_parser(
-        "resume", help="re-activate paused/stored campaigns"
-    )
-    add_url(r_resume)
-    r_resume.add_argument("campaign_id", nargs="?", default=None)
-    r_resume.add_argument(
-        "--all", action="store_true", dest="resume_all",
-        help="re-activate every unfinished stored campaign",
-    )
-
-    r_stats = remote_sub.add_parser("stats", help="the daemon's health table")
-    add_url(r_stats)
-
-    monitor = subparsers.add_parser(
-        "monitor",
-        help="health & alerting: SLO rules, alert history, live dashboard",
-    )
-    monitor_sub = monitor.add_subparsers(dest="monitor_command", required=True)
-
-    m_rules = monitor_sub.add_parser(
-        "rules", help="list every registered alert rule and its thresholds"
-    )
-    add_quiet(m_rules)
-    add_json(m_rules)
-
-    m_alerts = monitor_sub.add_parser(
-        "alerts", help="the durable alert history replayed from a store"
-    )
-    add_store(m_alerts)
-    add_json(m_alerts)
-    m_alerts.add_argument(
-        "--campaign",
-        default=None,
-        dest="campaign_id",
-        help="restrict to one campaign id",
-    )
-
-    m_status = monitor_sub.add_parser(
-        "status",
-        help="per-component health verdict folded from a store's alerts",
-    )
-    add_store(m_status)
-    add_json(m_status)
-
-    m_watch = monitor_sub.add_parser(
-        "watch",
-        help="live dashboard: poll a daemon's /health/deep and /alerts",
-    )
-    add_url(m_watch)
-    m_watch.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between refreshes (default: 2.0)",
-    )
-    m_watch.add_argument(
-        "--max-seconds",
-        type=float,
-        default=0.0,
-        help="stop after this many seconds (0 = run until interrupted)",
-    )
-    m_watch.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit",
-    )
-
-    m_bench = monitor_sub.add_parser(
-        "bench",
-        help="benchmark-regression watchdog: fresh results vs committed "
-        "BENCH_*.json references",
-    )
-    m_bench.add_argument(
-        "--fresh",
-        required=True,
-        help="JSON file of freshly measured benchmark results "
-        "({benchmark: {metric: value}})",
-    )
-    m_bench.add_argument(
-        "--benchmark",
-        default=None,
-        help="restrict the comparison to one benchmark name",
-    )
-    m_bench.add_argument(
-        "--reference-dir",
-        default="benchmarks",
-        help="directory holding the committed BENCH_*.json references "
-        "(default: benchmarks)",
-    )
-    add_quiet(m_bench)
-    add_json(m_bench)
-
-    strategies = subparsers.add_parser(
-        "strategies", help="list every registered acquisition strategy"
-    )
-    add_quiet(strategies)
-    add_json(strategies)
-    sources = subparsers.add_parser(
-        "sources", help="list every registered data-source provider"
-    )
-    add_quiet(sources)
-    add_json(sources)
-    return parser
+        help="every unfinished campaign in the store",
+    ),
+)
 
 
 def _experiment_config(
@@ -974,8 +556,11 @@ def run_plan(args: argparse.Namespace) -> str:
     return plan.to_text()
 
 
-def run_discover(args: argparse.Namespace) -> str:
-    """The ``discover`` subcommand: fit one discovery method, print the partition."""
+def run_discover(args: argparse.Namespace) -> Reply | str:
+    """The ``discover`` subcommand: fit one discovery method, print the partition.
+
+    ``--list`` has no JSON form: it prints the registered methods.
+    """
     from repro.slices.discovery import (
         available_discovery_methods,
         discovery_method_descriptions,
@@ -1017,55 +602,45 @@ def run_discover(args: argparse.Namespace) -> str:
     )
     method.fit(model, pool)
     discovered = method.transform(sliced)
-
-    if args.json_output:
-        return _json_output(
-            "repro.discover/1",
-            {
-                "config": {
-                    "dataset": args.dataset,
-                    "scenario": args.scenario,
-                    "method": args.method,
-                    "seed": args.seed,
-                },
-                "fingerprint": method.fingerprint(),
-                "slices": [
-                    {
-                        "name": name,
-                        "train": len(discovered[name].train),
-                        "validation": len(discovered[name].validation),
-                        "cost": discovered[name].cost,
-                    }
-                    for name in discovered.names
-                ],
-            },
-        )
-    if args.quiet:
-        return "\n".join(
-            f"{name} {len(discovered[name].train)}" for name in discovered.names
-        ) + f"\nfingerprint {method.fingerprint()}"
-    rows = [
-        [
-            name,
-            len(discovered[name].train),
-            len(discovered[name].validation),
-            f"{discovered[name].cost:.2f}",
-        ]
+    fingerprint = method.fingerprint()
+    slices = [
+        {
+            "name": name,
+            "train": len(discovered[name].train),
+            "validation": len(discovered[name].validation),
+            "cost": discovered[name].cost,
+        }
         for name in discovered.names
     ]
-    output = format_table(
-        headers=["slice", "train", "validation", "cost"],
-        rows=rows,
-        title=(
-            f"Discovered partition — {args.method} on {args.dataset} "
-            f"({args.scenario} scenario, {len(discovered.names)} slices)"
-        ),
+
+    def text() -> str:
+        if args.quiet:
+            lines = [f"{s['name']} {s['train']}" for s in slices]
+            return "\n".join([*lines, f"fingerprint {fingerprint}"])
+        table = format_table(
+            headers=["slice", "train", "validation", "cost"],
+            rows=[[s["name"], s["train"], s["validation"], f"{s['cost']:.2f}"] for s in slices],
+            title=(
+                f"Discovered partition — {args.method} on {args.dataset} "
+                f"({args.scenario} scenario, {len(slices)} slices)"
+            ),
+        )
+        return table + f"\n\nfingerprint: {fingerprint}"
+
+    config_fields = {
+        "dataset": args.dataset,
+        "scenario": args.scenario,
+        "method": args.method,
+        "seed": args.seed,
+    }
+    return Reply(
+        "repro.discover/1",
+        {"config": config_fields, "fingerprint": fingerprint, "slices": slices},
+        text,
     )
-    output += f"\n\nfingerprint: {method.fingerprint()}"
-    return output
 
 
-def run_run(args: argparse.Namespace) -> str:
+def run_run(args: argparse.Namespace) -> Reply:
     """The ``run`` subcommand: one strategy end to end + the fulfillment log."""
     if args.resume is not None:
         return _resume_campaigns(args, [args.resume])
@@ -1088,14 +663,10 @@ def run_run(args: argparse.Namespace) -> str:
     )
     # Scenario defaults (e.g. dynamic_slices) apply unless --discover is given.
     discover, reslice_every = discovery_for(config)
+    reslice_every = reslice_every if discover is not None else 0
     sliced, sources = prepare_named_instance(config, seed=args.seed)
-    if args.workers is not None and args.executor != "process":
-        raise ConfigurationError("--workers only applies to --executor process")
-    executor_kwargs = (
-        {"max_workers": args.workers} if args.executor == "process" else {}
-    )
-    result_cache = _build_result_cache(args)
-    try:
+    executor_kwargs = _executor_kwargs(args)
+    with closing(_build_result_cache(args)) as result_cache:
         with get_executor(
             args.executor, cache=result_cache, **executor_kwargs
         ) as executor:
@@ -1107,7 +678,7 @@ def run_run(args: argparse.Namespace) -> str:
                     lam=args.lam,
                     acquisition_rounds=args.rounds,
                     discover=discover,
-                    reslice_every=reslice_every if discover is not None else 0,
+                    reslice_every=reslice_every,
                 ),
                 random_state=args.seed + 1,
                 sources=sources,
@@ -1130,93 +701,85 @@ def run_run(args: argparse.Namespace) -> str:
         # queries once its connection is released.
         cache_stats = engine_cache_stats(tuner)
         trainings_performed = tuner.estimator.trainings_performed
-    finally:
-        result_cache.close()
 
-    if args.json_output:
-        return _json_output(
-            "repro.run/1",
-            {
-                "config": {
-                    "dataset": args.dataset,
-                    "scenario": args.scenario,
-                    "source": args.source,
-                    "method": args.method,
-                    "budget": args.budget,
-                    "lam": args.lam,
-                    "seed": args.seed,
-                    "rounds": args.rounds,
-                    "discover": discover,
-                    "reslice_every": reslice_every if discover is not None else 0,
-                },
-                "result": result.to_dict(),
-                "fulfillments": [f.summary() for f in fulfillments],
-                "reslices": [
-                    {
-                        "iteration": e.iteration,
-                        "slice_generation": e.slice_generation,
-                        "method": e.method,
-                        "fingerprint": e.fingerprint,
-                        "slice_names": list(e.slice_names),
-                    }
-                    for e in reslices
-                ],
-                "trainings_performed": trainings_performed,
-                "cache": {
-                    name: {
-                        "requests": stats.requests,
-                        "hits": stats.hits,
-                        "misses": stats.misses,
-                        "evictions": stats.evictions,
-                    }
-                    for name, stats in cache_stats.items()
-                },
-            },
-        )
-    if args.quiet:
-        return (
-            f"method={args.method} iterations={result.n_iterations} "
-            f"spent={result.spent:.2f} acquired={sum(result.total_acquired.values())}"
-        )
-    rows = [
-        [
-            f.slice_name,
-            f.request.count,
-            f.delivered_count,
-            f.shortfall,
-            f.rounds,
-            f.status,
-            "+".join(f.provenance) or "-",
-            f.request.tag,
+    def text() -> str:
+        if args.quiet:
+            return (
+                f"method={args.method} iterations={result.n_iterations} "
+                f"spent={result.spent:.2f} acquired={sum(result.total_acquired.values())}"
+            )
+        rows = [
+            [
+                f.slice_name,
+                f.request.count,
+                f.delivered_count,
+                f.shortfall,
+                f.rounds,
+                f.status,
+                "+".join(f.provenance) or "-",
+                f.request.tag,
+            ]
+            for f in fulfillments
         ]
-        for f in fulfillments
-    ]
-    output = format_table(
-        headers=[
-            "slice", "requested", "delivered", "shortfall", "rounds",
-            "status", "provenance", "tag",
-        ],
-        rows=rows,
-        title=(
-            f"Fulfillment log — providers: {', '.join(tuner.provider_order)} "
-            f"({len(fulfillments)} fulfillments)"
-        ),
-    )
-    if reslices:
-        output += "\n\n" + "\n".join(
-            f"reslice @ iteration {e.iteration}: generation "
-            f"{e.slice_generation} ({e.method}) -> "
-            f"{', '.join(e.slice_names)} [{e.fingerprint[:12]}]"
-            for e in reslices
+        output = format_table(
+            headers=[
+                "slice", "requested", "delivered", "shortfall", "rounds",
+                "status", "provenance", "tag",
+            ],
+            rows=rows,
+            title=(
+                f"Fulfillment log — providers: {', '.join(tuner.provider_order)} "
+                f"({len(fulfillments)} fulfillments)"
+            ),
         )
-    output += "\n\n" + result.acquisitions_table()
-    output += "\n\n" + cache_stats_table(
-        cache_stats,
-        trainings_performed=trainings_performed,
-    )
-    if args.evaluate and result.final_report is not None:
-        output += "\n\n" + result.final_report.to_text()
-    return output
+        if reslices:
+            output += "\n\n" + "\n".join(
+                f"reslice @ iteration {e.iteration}: generation "
+                f"{e.slice_generation} ({e.method}) -> "
+                f"{', '.join(e.slice_names)} [{e.fingerprint[:12]}]"
+                for e in reslices
+            )
+        output += "\n\n" + result.acquisitions_table()
+        output += "\n\n" + cache_stats_table(
+            cache_stats,
+            trainings_performed=trainings_performed,
+        )
+        if args.evaluate and result.final_report is not None:
+            output += "\n\n" + result.final_report.to_text()
+        return output
+
+    payload = {
+        "config": {
+            "dataset": args.dataset,
+            "scenario": args.scenario,
+            "source": args.source,
+            "method": args.method,
+            "budget": args.budget,
+            "lam": args.lam,
+            "seed": args.seed,
+            "rounds": args.rounds,
+            "discover": discover,
+            "reslice_every": reslice_every,
+        },
+        "result": result.to_dict(),
+        "fulfillments": [f.summary() for f in fulfillments],
+        "reslices": [
+            {
+                "iteration": e.iteration,
+                "slice_generation": e.slice_generation,
+                "method": e.method,
+                "fingerprint": e.fingerprint,
+                "slice_names": list(e.slice_names),
+            }
+            for e in reslices
+        ],
+        "trainings_performed": trainings_performed,
+        "cache": {
+            name: {key: value for key, value in stats.snapshot().items() if key != "hit_rate"}
+            for name, stats in cache_stats.items()
+        },
+    }
+    return Reply("repro.run/1", payload, text)
 
 
 def run_compare(args: argparse.Namespace) -> str:
@@ -1232,12 +795,7 @@ def run_compare(args: argparse.Namespace) -> str:
         lam=args.lam,
         trials=args.trials,
     )
-    if args.workers is not None and args.executor != "process":
-        raise ConfigurationError("--workers only applies to --executor process")
-    executor_kwargs = (
-        {"max_workers": args.workers} if args.executor == "process" else {}
-    )
-    with get_executor(args.executor, **executor_kwargs) as executor:
+    with get_executor(args.executor, **_executor_kwargs(args)) as executor:
         aggregates = compare_methods(config, include_original=True, executor=executor)
     if args.quiet:
         return "\n".join(
@@ -1275,13 +833,24 @@ def _kill_after_hook() -> Callable[..., None] | None:
     to kill a suite at a deterministic mid-run point and prove that
     resuming reproduces the uninterrupted results byte-for-byte.  The kill
     fires *after* the iteration's event and snapshot were committed, which
-    is exactly what an external ``kill -9`` races against.
+    is exactly what an external ``kill -9`` races against.  Both values
+    come from outside the program, so a bad one is a usage error (exit 2).
     """
-    kill_after = int(os.environ.get("REPRO_CAMPAIGN_KILL_AFTER", "0") or 0)
+    raw = os.environ.get("REPRO_CAMPAIGN_KILL_AFTER", "0") or "0"
+    try:
+        kill_after = int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"REPRO_CAMPAIGN_KILL_AFTER must be an integer, got {raw!r}"
+        ) from None
     if kill_after <= 0:
         return None
     signame = os.environ.get("REPRO_CAMPAIGN_KILL_SIGNAL", "KILL").upper()
-    signum = getattr(signal, f"SIG{signame}")
+    signum = signal.Signals.__members__.get(f"SIG{signame}")
+    if signum is None:
+        raise ConfigurationError(
+            f"REPRO_CAMPAIGN_KILL_SIGNAL names no signal: {signame!r}"
+        )
     seen = {"n": 0}
 
     def hook(*_args: object) -> None:
@@ -1292,26 +861,16 @@ def _kill_after_hook() -> Callable[..., None] | None:
     return hook
 
 
-def _progress_printer(quiet: bool):
-    def on_progress(tick) -> None:
-        if quiet:
-            return
-        state = "done" if tick.done else f"iteration {tick.iteration}"
-        print(
-            f"[{tick.name}] {state} — spent {tick.spent:.0f}/{tick.budget:.0f} "
-            f"(lane {tick.priority})"
-        )
-
-    return on_progress
-
-
-def _combined_progress(quiet: bool):
-    """Progress printer plus the optional deterministic-kill testing hook."""
-    printer = _progress_printer(quiet)
-    kill_hook = _kill_after_hook()
+def _campaign_progress(quiet: bool, kill_hook: Callable[..., None] | None):
+    """Scheduler progress printer plus the optional deterministic-kill hook."""
 
     def on_progress(tick) -> None:
-        printer(tick)
+        if not quiet:
+            state = "done" if tick.done else f"iteration {tick.iteration}"
+            print(
+                f"[{tick.name}] {state} — spent {tick.spent:.0f}/{tick.budget:.0f} "
+                f"(lane {tick.priority})"
+            )
         if kill_hook is not None:
             kill_hook(tick)
 
@@ -1344,45 +903,24 @@ def run_campaign_start(args: argparse.Namespace) -> str:
     from repro.engine.executor import SerialExecutor
     from repro.experiments.runner import campaign_suite
 
+    kill_hook = _kill_after_hook()
     with SqliteStore(args.store) as store:
         if args.suite:
-            result_cache = _build_result_cache(args)
-            try:
+            with closing(_build_result_cache(args)) as result_cache:
                 executor = SerialExecutor(cache=result_cache)
                 results = campaign_suite(
                     store=store,
                     executor=executor,
                     seed=args.seed,
-                    on_progress=_combined_progress(args.quiet),
+                    on_progress=_campaign_progress(args.quiet, kill_hook),
                 )
                 return _suite_summary(list(results.items()), executor, args.quiet)
-            finally:
-                result_cache.close()
         if not args.name:
             raise ConfigurationError(
                 "campaign start needs --name (or --suite for the builtin workload)"
             )
-        spec = CampaignSpec(
-            name=args.name,
-            dataset=args.dataset,
-            scenario=args.scenario,
-            source=args.source,
-            method=args.method,
-            budget=args.budget,
-            lam=args.lam,
-            seed=args.seed,
-            base_size=args.initial_size,
-            validation_size=args.validation_size,
-            epochs=args.epochs,
-            curve_points=args.curve_points,
-            priority=args.priority,
-            checkpoint_every=args.checkpoint_every,
-            evaluate=args.evaluate,
-            discover=args.discover,
-            reslice_every=args.reslice_every if args.discover is not None else 0,
-        )
-        result_cache = _build_result_cache(args)
-        try:
+        spec = CampaignSpec.from_dict(_spec_fields(args))
+        with closing(_build_result_cache(args)) as result_cache:
             campaign = Campaign.start(store, spec, result_cache=result_cache)
             if campaign.reused and campaign.is_done:
                 result = campaign.result()
@@ -1398,7 +936,6 @@ def run_campaign_start(args: argparse.Namespace) -> str:
                         f"spent {c.spent:.0f}/{c.spec.budget:.0f}"
                     )
                 )
-            kill_hook = _kill_after_hook()
             if kill_hook is not None:
                 campaign.add_iteration_hook(kill_hook)
             result = campaign.run(max_steps=args.max_steps)
@@ -1409,8 +946,6 @@ def run_campaign_start(args: argparse.Namespace) -> str:
                     f"`campaign resume {campaign.campaign_id} --store {args.store}`"
                 )
             return _campaign_result_text(campaign, result, args.quiet)
-        finally:
-            result_cache.close()
 
 
 def _campaign_result_text(campaign: Campaign, result, quiet: bool) -> str:
@@ -1433,65 +968,54 @@ def _campaign_result_text(campaign: Campaign, result, quiet: bool) -> str:
     return output
 
 
-def _resume_campaigns(args: argparse.Namespace, campaign_ids: list[str]) -> str:
+def _resume_campaigns(args: argparse.Namespace, campaign_ids: list[str]) -> Reply:
     from repro.campaigns import CampaignScheduler, SqliteStore
 
+    on_progress = _campaign_progress(args.quiet, _kill_after_hook())
     with SqliteStore(args.store) as store:
-        result_cache = _build_result_cache(args)
-        try:
+        with closing(_build_result_cache(args)) as result_cache:
             scheduler = CampaignScheduler(
-                store=store,
-                result_cache=result_cache,
-                on_progress=_combined_progress(args.quiet),
+                store=store, result_cache=result_cache, on_progress=on_progress
             )
             for campaign_id in campaign_ids:
                 scheduler.add_existing(campaign_id)
             by_id = scheduler.run()
-            if getattr(args, "json_output", False):
-                return _json_output(
-                    "repro.campaign.resume/1",
-                    {
-                        "store": args.store,
-                        "results": {
-                            campaign_id: result.to_dict()
-                            for campaign_id, result in by_id.items()
-                        },
-                    },
-                )
-            # Display names can collide across campaigns; campaign ids
-            # cannot, so every resumed campaign gets its own summary line.
-            results = [
-                (campaign.spec.name, by_id[campaign.campaign_id])
-                for campaign in scheduler.campaigns
-            ]
-            return _suite_summary(results, scheduler.executor, args.quiet)
-        finally:
-            result_cache.close()
+            # Rendered while the shared cache is still open.  Display names
+            # can collide across campaigns; campaign ids cannot, so every
+            # resumed campaign gets its own summary line.
+            text = _suite_summary(
+                [(c.spec.name, by_id[c.campaign_id]) for c in scheduler.campaigns],
+                scheduler.executor,
+                args.quiet,
+            )
+    results = {campaign_id: result.to_dict() for campaign_id, result in by_id.items()}
+    return Reply(
+        "repro.campaign.resume/1", {"store": args.store, "results": results}, lambda: text
+    )
 
 
-def run_campaign_resume(args: argparse.Namespace) -> str:
+def run_campaign_resume(args: argparse.Namespace) -> Reply | str:
     """``campaign resume``: continue one campaign (or every unfinished one)."""
-    from repro.campaigns import RESUMABLE, SqliteStore
+    from repro.campaigns.store import RESUMABLE, SqliteStore
 
-    if args.resume_all and args.campaign_id:
-        raise ConfigurationError("pass either a campaign id or --all, not both")
-    if args.resume_all:
-        with SqliteStore(args.store) as store:
-            pending = [
-                record.campaign_id
-                for record in store.list_campaigns()
-                if record.status in RESUMABLE
-            ]
-        if not pending:
-            return "nothing to resume: every stored campaign is completed"
-        return _resume_campaigns(args, pending)
-    if not args.campaign_id:
-        raise ConfigurationError("campaign resume needs a campaign id (or --all)")
-    return _resume_campaigns(args, [args.campaign_id])
+    _require_id_or_all(args)
+    if not args.resume_all:
+        return _resume_campaigns(args, [args.campaign_id])
+    with SqliteStore(args.store) as store:
+        pending = [
+            record.campaign_id
+            for record in store.list_campaigns()
+            if record.status in RESUMABLE
+        ]
+    if not pending:
+        return "nothing to resume: every stored campaign is completed"
+    return _resume_campaigns(args, pending)
 
 
-def _campaigns_table(campaigns: list[dict], quiet: bool, title: str) -> str:
+def _campaigns_table(campaigns: list[dict], quiet: bool, where: str) -> str:
     """``campaign list`` / ``remote list`` text: one row per summary dict."""
+    if not campaigns:
+        return f"no campaigns {where}"
     if quiet:
         return "\n".join(f"{c['campaign_id']} {c['status']}" for c in campaigns)
     rows = [
@@ -1509,25 +1033,25 @@ def _campaigns_table(campaigns: list[dict], quiet: bool, title: str) -> str:
     return format_table(
         headers=["id", "name", "status", "lane", "iters", "spent/budget", "gens"],
         rows=rows,
-        title=title,
+        title=f"Campaigns {where}",
     )
 
 
-def _campaign_header(summary: dict, spec: dict, progress: bool) -> str:
+def _campaign_header(campaign: dict, progress: bool) -> str:
     """``campaign show`` / ``remote show`` header: identity, status, spec."""
     lines = [
-        f"campaign {summary['campaign_id']} ({summary['name']})",
-        f"status: {summary['status']} — lane {summary['priority']}, "
-        f"{summary['generations']} generation(s), "
-        f"{summary['fulfillments']} fulfillment(s)",
+        f"campaign {campaign['campaign_id']} ({campaign['name']})",
+        f"status: {campaign['status']} — lane {campaign['priority']}, "
+        f"{campaign['generations']} generation(s), "
+        f"{campaign['fulfillments']} fulfillment(s)",
     ]
     if progress:
         lines.append(
-            f"progress: {summary['iterations']} iteration(s), spent "
-            f"{summary['spent']:.2f}/{summary['budget']:.0f}"
+            f"progress: {campaign['iterations']} iteration(s), spent "
+            f"{campaign['spent']:.2f}/{campaign['budget']:.0f}"
         )
     lines.append("spec:")
-    lines.extend(f"  {key} = {value}" for key, value in sorted(spec.items()))
+    lines.extend(f"  {key} = {value}" for key, value in sorted(campaign["spec"].items()))
     return "\n".join(lines) + "\n\n"
 
 
@@ -1539,229 +1063,183 @@ def _show_quiet(summary: dict) -> str:
     )
 
 
-def run_campaign_list(args: argparse.Namespace) -> str:
-    """``campaign list``: one row per stored campaign."""
-    from repro.campaigns import SqliteStore, campaign_summary
+def run_campaign_list(args: argparse.Namespace) -> Reply:
+    """``campaign list``: one row per stored campaign (the ``GET /campaigns`` body)."""
+    from repro.campaigns.store import campaign_summaries
 
-    with SqliteStore(args.store) as store:
-        # campaign_summary is the same fold the daemon's ``GET /campaigns``
-        # uses, so local and remote tooling share one parser.
-        campaigns = [
-            campaign_summary(store, record.campaign_id)
-            for record in store.list_campaigns()
-        ]
-    if args.json_output:
-        return _json_output(
-            "repro.campaign.list/1", {"store": args.store, "campaigns": campaigns}
-        )
-    if not campaigns:
-        return f"no campaigns in {args.store}"
-    return _campaigns_table(campaigns, args.quiet, f"Campaigns in {args.store}")
-
-
-def run_campaign_show(args: argparse.Namespace) -> str:
-    """``campaign show``: replay one campaign's event log."""
-    from repro.campaigns import SqliteStore, campaign_summary, replay_events
-
-    with SqliteStore(args.store) as store:
-        # Same fold as the daemon's ``GET /campaigns/<id>`` payload.
-        summary = campaign_summary(store, args.campaign_id)
-        spec = dict(store.get_campaign(args.campaign_id).spec)
-        events = replay_events(store.events(args.campaign_id))
-    if args.json_output:
-        summary["spec"] = spec
-        return _json_output(
-            "repro.campaign.show/1",
-            {
-                "store": args.store,
-                "campaign": summary,
-                "events": [event.to_dict() for event in events],
-            },
-        )
-    if args.quiet:
-        return _show_quiet(summary)
-    iteration_rows = [
-        [
-            event.iteration,
-            event.generation,
-            sum(event.payload.get("acquired", {}).values()),
-            f"{event.payload.get('spent', 0.0):.1f}",
-            f"{event.payload.get('imbalance_after', 0.0):.2f}",
-        ]
-        for event in events
-        if event.kind == "iteration"
-    ]
-    return _campaign_header(summary, spec, progress=False) + format_table(
-        headers=["iteration", "generation", "acquired", "spent", "imbalance"],
-        rows=iteration_rows,
-        title=(
-            f"Replayed history — {summary['iterations']} iteration(s), "
-            f"spent {summary['spent']:.2f}/{summary['budget']:.0f}"
-        ),
+    with _existing_store(args) as store:
+        campaigns = campaign_summaries(store)
+    return Reply(
+        "repro.campaign.list/1",
+        {"store": args.store, "campaigns": campaigns},
+        lambda: _campaigns_table(campaigns, args.quiet, f"in {args.store}"),
     )
 
 
-def run_campaign(args: argparse.Namespace) -> str:
-    """Dispatch for the ``campaign`` family of subcommands."""
-    if args.campaign_command == "start":
-        return run_campaign_start(args)
-    if args.campaign_command == "resume":
-        return run_campaign_resume(args)
-    if args.campaign_command == "list":
-        return run_campaign_list(args)
-    if args.campaign_command == "show":
-        return run_campaign_show(args)
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown campaign command {args.campaign_command!r}"
+def run_campaign_show(args: argparse.Namespace) -> Reply:
+    """``campaign show``: replay one campaign's event log.
+
+    The campaign and its events are the ``GET /campaigns/<id>`` and
+    ``GET /campaigns/<id>/log`` bodies.
+    """
+    from repro.campaigns.store import campaign_detail, campaign_log
+
+    with _existing_store(args) as store:
+        campaign = campaign_detail(store, args.campaign_id)
+        events = campaign_log(store, args.campaign_id)
+
+    def text() -> str:
+        if args.quiet:
+            return _show_quiet(campaign)
+        rows = [
+            [
+                event["iteration"],
+                event["generation"],
+                sum(event["payload"].get("acquired", {}).values()),
+                f"{event['payload'].get('spent', 0.0):.1f}",
+                f"{event['payload'].get('imbalance_after', 0.0):.2f}",
+            ]
+            for event in events
+            if event["kind"] == "iteration"
+        ]
+        return _campaign_header(campaign, progress=False) + format_table(
+            headers=["iteration", "generation", "acquired", "spent", "imbalance"],
+            rows=rows,
+            title=(
+                f"Replayed history — {campaign['iterations']} iteration(s), "
+                f"spent {campaign['spent']:.2f}/{campaign['budget']:.0f}"
+            ),
+        )
+
+    return Reply(
+        "repro.campaign.show/1",
+        {"store": args.store, "campaign": campaign, "events": events},
+        text,
     )
 
 
 # -- the persistent cache family ---------------------------------------------------
 
 
-def _cache_stats_payload(cache: SqliteResultCache) -> dict:
-    """The tier/size/counter snapshot both ``cache stats`` renderings share."""
-    tiers = cache.tier_stats()
-    entries = cache.entry_stats()
-    totals = cache.stats
-    payload_tiers = {}
-    for name, stats in tiers.items():
-        tier = {
-            "requests": stats.requests,
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "evictions": stats.evictions,
-            "hit_rate": round(stats.hit_rate, 4),
-        }
-        if name in entries:
-            tier["entries"] = entries[name]["entries"]
-            tier["size_bytes"] = entries[name]["size_bytes"]
-        payload_tiers[name] = tier
-    return {
-        "path": cache.path,
+def run_cache_stats(args: argparse.Namespace) -> Reply:
+    """``cache stats``: the tier/size/counter snapshot of the shared cache."""
+    with closing(_build_result_cache(args, required=True)) as cache:
+        tiers = cache.tier_stats()
+        entries = cache.entry_stats()
+        totals = cache.stats
+        path = cache.path
+    payload_tiers = {
+        name: {**stats.snapshot(), **entries.get(name, {})} for name, stats in tiers.items()
+    }
+    payload = {
+        "path": path,
         "tiers": payload_tiers,
         "totals": {
-            "requests": totals.requests,
-            "hits": totals.hits,
-            "misses": totals.misses,
+            **totals.snapshot(),
             # ``cache.stats`` aggregates the result path only (memory +
             # results tiers); ``gc()`` also evicts curves, so the totals row
             # sums evictions across every tier — otherwise curve evictions
             # would be invisible outside the per-tier breakdown.
             "evictions": sum(stats.evictions for stats in tiers.values()),
-            "hit_rate": round(totals.hit_rate, 4),
         },
     }
 
-
-def run_cache(args: argparse.Namespace) -> str:
-    """Dispatch for the ``cache`` family: stats, clear, gc."""
-    cache = _require_disk_cache(args)
-    try:
-        if args.cache_command == "stats":
-            payload = _cache_stats_payload(cache)
-            if args.json_output:
-                return _json_output("repro.cache/1", payload)
-            totals = payload["totals"]
-            if args.quiet:
-                return (
-                    f"requests={totals['requests']} hits={totals['hits']} "
-                    f"misses={totals['misses']}"
-                )
-            rows = []
-            for name, tier in payload["tiers"].items():
-                rows.append(
-                    [
-                        name,
-                        tier.get("entries", "-"),
-                        tier.get("size_bytes", "-"),
-                        tier["requests"],
-                        tier["hits"],
-                        tier["misses"],
-                        f"{tier['hit_rate']:.0%}",
-                        tier["evictions"],
-                    ]
-                )
-            rows.append(
-                [
-                    "total",
-                    sum(t.get("entries", 0) for t in payload["tiers"].values()),
-                    sum(t.get("size_bytes", 0) for t in payload["tiers"].values()),
-                    totals["requests"],
-                    totals["hits"],
-                    totals["misses"],
-                    f"{totals['hit_rate']:.0%}",
-                    totals["evictions"],
-                ]
-            )
-            return format_table(
-                headers=[
-                    "tier", "entries", "bytes", "lookups", "hits", "misses",
-                    "hit rate", "evictions",
-                ],
-                rows=rows,
-                title=f"Persistent cache — {cache.path}",
-            )
-        if args.cache_command == "clear":
-            removed = cache.clear_all()
-            if args.json_output:
-                return _json_output(
-                    "repro.cache.clear/1", {"path": cache.path, **removed}
-                )
+    def text() -> str:
+        total = payload["totals"]
+        if args.quiet:
             return (
-                f"cleared {cache.path}: {removed['removed_results']} result(s), "
-                f"{removed['removed_curves']} curve(s), "
-                f"{removed['freed_bytes']} byte(s) freed"
+                f"requests={total['requests']} hits={total['hits']} "
+                f"misses={total['misses']}"
             )
-        if args.cache_command == "gc":
-            report = cache.gc(args.max_mb)
-            if args.json_output:
-                return _json_output(
-                    "repro.cache.gc/1",
-                    {"path": cache.path, "max_mb": args.max_mb, **report},
-                )
-            return (
-                f"gc {cache.path} to {args.max_mb:g} MB: evicted "
-                f"{report['removed_results']} result(s), "
-                f"{report['removed_curves']} curve(s), freed "
-                f"{report['freed_bytes']} byte(s) "
-                f"({report['remaining_bytes']} remaining)"
-            )
-        raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-            f"unknown cache command {args.cache_command!r}"
+        rows = [
+            [
+                name,
+                tier.get("entries", "-"),
+                tier.get("size_bytes", "-"),
+                tier["requests"],
+                tier["hits"],
+                tier["misses"],
+                f"{tier['hit_rate']:.0%}",
+                tier["evictions"],
+            ]
+            for name, tier in payload_tiers.items()
+        ]
+        rows.append(
+            [
+                "total",
+                sum(t.get("entries", 0) for t in payload_tiers.values()),
+                sum(t.get("size_bytes", 0) for t in payload_tiers.values()),
+                total["requests"],
+                total["hits"],
+                total["misses"],
+                f"{total['hit_rate']:.0%}",
+                total["evictions"],
+            ]
         )
-    finally:
-        cache.close()
+        return format_table(
+            headers=[
+                "tier", "entries", "bytes", "lookups", "hits", "misses",
+                "hit rate", "evictions",
+            ],
+            rows=rows,
+            title=f"Persistent cache — {path}",
+        )
+
+    return Reply("repro.cache/1", payload, text)
+
+
+def run_cache_clear(args: argparse.Namespace) -> Reply:
+    """``cache clear``: drop every cached result and curve."""
+    with closing(_build_result_cache(args, required=True)) as cache:
+        removed = cache.clear_all()
+        path = cache.path
+    return Reply(
+        "repro.cache.clear/1",
+        {"path": path, **removed},
+        lambda: (
+            f"cleared {path}: {removed['removed_results']} result(s), "
+            f"{removed['removed_curves']} curve(s), "
+            f"{removed['freed_bytes']} byte(s) freed"
+        ),
+    )
+
+
+def run_cache_gc(args: argparse.Namespace) -> Reply:
+    """``cache gc``: evict least-recently-accessed entries down to ``--max-mb``."""
+    with closing(_build_result_cache(args, required=True)) as cache:
+        report = cache.gc(args.max_mb)
+        path = cache.path
+    return Reply(
+        "repro.cache.gc/1",
+        {"path": path, "max_mb": args.max_mb, **report},
+        lambda: (
+            f"gc {path} to {args.max_mb:g} MB: evicted "
+            f"{report['removed_results']} result(s), "
+            f"{report['removed_curves']} curve(s), freed "
+            f"{report['freed_bytes']} byte(s) "
+            f"({report['remaining_bytes']} remaining)"
+        ),
+    )
 
 
 # -- the telemetry family ----------------------------------------------------------
+#
+# All three read a trace directory previously recorded with ``--trace-out``
+# (or ``REPRO_TRACE_DIR``); none of them installs a tracer, so inspection
+# never mutates the trace being inspected.  JSON payloads share the
+# ``repro.telemetry/1`` schema tag.
 
 
-def run_telemetry(args: argparse.Namespace) -> str:
-    """Dispatch for the ``telemetry`` family: spans, metrics, summary.
-
-    All three read a trace directory previously recorded with
-    ``--trace-out`` (or ``REPRO_TRACE_DIR``); none of them installs a
-    tracer, so inspection never mutates the trace being inspected.  JSON
-    payloads share the ``repro.telemetry/1`` schema tag.
-    """
+def run_telemetry_spans(args: argparse.Namespace) -> Reply:
+    """``telemetry spans``: the recorded span log (newest last)."""
     trace_dir = _require_trace_dir(args)
-    if args.telemetry_command == "spans":
-        spans = telemetry.read_spans(trace_dir)
-        if args.span_name is not None:
-            spans = [s for s in spans if s.get("name") == args.span_name]
-        if args.limit > 0:
-            spans = spans[-args.limit :]
-        if args.json_output:
-            return _json_output(
-                "repro.telemetry/1",
-                {
-                    "trace_dir": trace_dir,
-                    "kind": "spans",
-                    "span_count": len(spans),
-                    "spans": spans,
-                },
-            )
+    spans = telemetry.read_spans(trace_dir)
+    if args.span_name is not None:
+        spans = [s for s in spans if s.get("name") == args.span_name]
+    if args.limit > 0:
+        spans = spans[-args.limit :]
+
+    def text() -> str:
         if args.quiet:
             return f"{len(spans)} span(s) in {trace_dir}"
         rows = [
@@ -1780,25 +1258,29 @@ def run_telemetry(args: argparse.Namespace) -> str:
             rows=rows,
             title=f"Trace spans — {trace_dir} ({len(spans)} span(s))",
         )
-    if args.telemetry_command == "metrics":
-        snapshot = telemetry.read_metrics(trace_dir)
-        histograms = snapshot.get("histograms", {})
-        quantiles = {
-            name: telemetry.histogram_quantiles(data)
-            for name, data in sorted(histograms.items())
-        }
-        if args.json_output:
-            return _json_output(
-                "repro.telemetry/1",
-                {
-                    "trace_dir": trace_dir,
-                    "kind": "metrics",
-                    "metrics": snapshot,
-                    "quantiles": quantiles,
-                },
-            )
+
+    payload = {"trace_dir": trace_dir, "kind": "spans", "span_count": len(spans), "spans": spans}
+    return Reply("repro.telemetry/1", payload, text)
+
+
+def _quantiles(snapshot: dict) -> dict:
+    """Bucket-interpolated quantiles of every histogram in a metrics snapshot."""
+    return {
+        name: telemetry.histogram_quantiles(data)
+        for name, data in sorted(snapshot.get("histograms", {}).items())
+    }
+
+
+def run_telemetry_metrics(args: argparse.Namespace) -> Reply:
+    """``telemetry metrics``: the merged counter/gauge/histogram snapshot."""
+    trace_dir = _require_trace_dir(args)
+    snapshot = telemetry.read_metrics(trace_dir)
+    quantiles = _quantiles(snapshot)
+
+    def text() -> str:
         counters = snapshot.get("counters", {})
         gauges = snapshot.get("gauges", {})
+        histograms = snapshot.get("histograms", {})
         if args.quiet:
             return (
                 f"{len(counters)} counter(s), {len(gauges)} gauge(s), "
@@ -1826,30 +1308,21 @@ def run_telemetry(args: argparse.Namespace) -> str:
             rows=rows,
             title=f"Metrics snapshot — {trace_dir}",
         )
-    if args.telemetry_command == "summary":
-        total, summary = telemetry.summarize_spans(telemetry.read_spans(trace_dir))
-        metrics = telemetry.read_metrics(trace_dir)
-        counters = metrics.get("counters", {})
-        quantiles = {
-            name: telemetry.histogram_quantiles(data)
-            for name, data in sorted(metrics.get("histograms", {}).items())
-        }
-        if args.json_output:
-            return _json_output(
-                "repro.telemetry/1",
-                {
-                    "trace_dir": trace_dir,
-                    "kind": "summary",
-                    "span_count": total,
-                    "spans": summary,
-                    "counters": counters,
-                    "quantiles": quantiles,
-                },
-            )
+
+    payload = {"trace_dir": trace_dir, "kind": "metrics", "metrics": snapshot, "quantiles": quantiles}
+    return Reply("repro.telemetry/1", payload, text)
+
+
+def run_telemetry_summary(args: argparse.Namespace) -> Reply:
+    """``telemetry summary``: per-span-name timing rollup plus latency quantiles."""
+    trace_dir = _require_trace_dir(args)
+    total, summary = telemetry.summarize_spans(telemetry.read_spans(trace_dir))
+    metrics = telemetry.read_metrics(trace_dir)
+    quantiles = _quantiles(metrics)
+
+    def text() -> str:
         if args.quiet:
-            return (
-                f"{total} span(s) across {len(summary)} name(s) in {trace_dir}"
-            )
+            return f"{total} span(s) across {len(summary)} name(s) in {trace_dir}"
         rows = [
             [
                 name,
@@ -1869,34 +1342,33 @@ def run_telemetry(args: argparse.Namespace) -> str:
             title=f"Span summary — {trace_dir} ({total} span(s))",
         )
         quantile_rows = [
-            [
-                name,
-                estimates.get("p50"),
-                estimates.get("p95"),
-                estimates.get("p99"),
-            ]
-            for name, estimates in quantiles.items()
-            if estimates.get("p50") is not None
+            [name, f"{q['p50']:.6f}", f"{q['p95']:.6f}", f"{q['p99']:.6f}"]
+            for name, q in quantiles.items()
+            if q.get("p50") is not None
         ]
         if quantile_rows:
             out += "\n\n" + format_table(
                 headers=["histogram", "p50 s", "p95 s", "p99 s"],
-                rows=[
-                    [name, f"{p50:.6f}", f"{p95:.6f}", f"{p99:.6f}"]
-                    for name, p50, p95, p99 in quantile_rows
-                ],
+                rows=quantile_rows,
                 title="Latency quantiles (bucket-interpolated)",
             )
         return out
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown telemetry command {args.telemetry_command!r}"
-    )
+
+    payload = {
+        "trace_dir": trace_dir,
+        "kind": "summary",
+        "span_count": total,
+        "spans": summary,
+        "counters": metrics.get("counters", {}),
+        "quantiles": quantiles,
+    }
+    return Reply("repro.telemetry/1", payload, text)
 
 
 # -- the analytics report family ---------------------------------------------------
 
 
-def run_report(args: argparse.Namespace) -> str:
+def run_report(args: argparse.Namespace) -> Reply:
     """``report``: render one analytics report over a campaign store.
 
     The payload comes from the same builder the daemon's report endpoints
@@ -1906,78 +1378,69 @@ def run_report(args: argparse.Namespace) -> str:
     view row-for-row against the pure-Python reference implementation and
     exits 2 on the first mismatch.
     """
-    if not os.path.exists(args.store):
-        raise ConfigurationError(
-            f"no campaign store at {args.store!r}; start one with "
-            f"`campaign start` (or pass --store)"
-        )
     from repro.analytics import Analytics, assert_consistent
-    from repro.campaigns import SqliteStore
     from repro.experiments.reporting import report_tables
 
-    with SqliteStore(args.store) as store:
+    with _existing_store(args) as store:
         with Analytics(store, path=args.analytics_path) as analytics:
             refreshed = analytics.rebuild() if args.rebuild else analytics.refresh()
             verified = assert_consistent(store, analytics) if args.verify else None
             payload = analytics.report(args.report_kind, args.campaign_id)
+    if verified is not None:
+        payload["verified"] = verified
+
+    def text() -> str:
+        if args.quiet:
+            rows = sum(len(section["rows"]) for section in payload["sections"].values())
+            line = f"{args.report_kind} {rows} row(s) through seq {payload['cursor']}"
             if verified is not None:
-                payload["verified"] = verified
-            if args.json_output:
-                return _json_output(payload["schema"], payload)
-            if args.quiet:
-                rows = sum(
-                    len(section["rows"]) for section in payload["sections"].values()
-                )
-                line = (
-                    f"{args.report_kind} {rows} row(s) through seq "
-                    f"{payload['cursor']}"
-                )
-                if verified is not None:
-                    line += f" — verified {sum(verified.values())} view row(s)"
-                return line
-            output = report_tables(payload)
-            if verified is not None:
-                output += (
-                    "\n\nverified: every SQL view matches its Python reference "
-                    f"({sum(verified.values())} row(s) across "
-                    f"{len(verified)} view(s))"
-                )
-            if refreshed["events_seen"]:
-                output += (
-                    f"\nrefreshed: {refreshed['events_seen']} new event(s) "
-                    f"mirrored incrementally"
-                )
-            return output
+                line += f" — verified {sum(verified.values())} view row(s)"
+            return line
+        output = report_tables(payload)
+        if verified is not None:
+            output += (
+                "\n\nverified: every SQL view matches its Python reference "
+                f"({sum(verified.values())} row(s) across "
+                f"{len(verified)} view(s))"
+            )
+        if refreshed["events_seen"]:
+            output += (
+                f"\nrefreshed: {refreshed['events_seen']} new event(s) "
+                f"mirrored incrementally"
+            )
+        return output
+
+    return Reply(payload["schema"], payload, text)
 
 
 # -- the health & alerting family --------------------------------------------------
+#
+# Everything here reads the same durable surfaces the daemon serves:
+# ``monitor alerts`` prints the ``GET /alerts`` body, replayed from the
+# store's ``alert`` events exactly as the ``alert_history`` analytics view.
 
 
-def _monitor_store(args: argparse.Namespace) -> SqliteStore:
-    from repro.campaigns import SqliteStore
-
-    if not os.path.exists(args.store):
-        raise ConfigurationError(
-            f"no campaign store at {args.store!r}; start one with "
-            f"`campaign start` (or pass --store)"
-        )
-    return SqliteStore(args.store)
-
-
-def _alert_rows(alerts: list[dict]) -> list[list]:
-    return [
-        [
-            row["campaign_id"],
-            row["seq"],
-            row["iteration"],
-            row["rule"],
-            row["severity"],
-            row["state"],
-            f"{row['value']:.6g}",
-            f"{row['threshold']:g}",
-        ]
-        for row in alerts
-    ]
+def _alerts_table(alerts: list[dict], title: str) -> str:
+    return format_table(
+        headers=[
+            "campaign", "seq", "iter", "rule", "severity", "state",
+            "value", "threshold",
+        ],
+        rows=[
+            [
+                row["campaign_id"],
+                row["seq"],
+                row["iteration"],
+                row["rule"],
+                row["severity"],
+                row["state"],
+                f"{row['value']:.6g}",
+                f"{row['threshold']:g}",
+            ]
+            for row in alerts
+        ],
+        title=title,
+    )
 
 
 def _health_table(verdict: dict, title: str) -> str:
@@ -1996,51 +1459,13 @@ def _health_table(verdict: dict, title: str) -> str:
     return out + f"\noverall: {verdict['status']}"
 
 
-def _watch_frame(
-    url: str, frame: int, verdict: dict, alerts_payload: dict
-) -> str:
-    out = _health_table(
-        verdict,
-        title=f"Tuner health — {url} (frame {frame})",
-    )
-    recent = alerts_payload["alerts"][-8:]
-    if recent:
-        out += "\n\n" + format_table(
-            headers=[
-                "campaign", "seq", "iter", "rule", "severity", "state",
-                "value", "threshold",
-            ],
-            rows=_alert_rows(recent),
-            title=(
-                f"Alert history — newest {len(recent)} of "
-                f"{alerts_payload['count']} row(s)"
-            ),
-        )
-    else:
-        out += "\n\nno alerts recorded"
-    return out
+def run_monitor_rules(args: argparse.Namespace) -> Reply:
+    """``monitor rules``: every registered alert rule and its thresholds."""
+    from repro.monitor import available_rules, get_rule
 
+    rules = [get_rule(name).to_dict() for name in available_rules()]
 
-def run_monitor(args: argparse.Namespace) -> str:
-    """Dispatch for the ``monitor`` family: SLO rules, alert history,
-    per-component health verdicts, the live dashboard, and the
-    benchmark-regression watchdog.
-
-    Everything here reads the same durable surfaces the daemon serves —
-    ``monitor alerts`` replays the store's ``alert`` events exactly as
-    ``GET /alerts`` and the ``alert_history`` analytics view do.
-    """
-    from repro.monitor import HealthEvaluator, alert_history, available_rules, get_rule, watchdog
-    from repro.serve.client import TunerClient
-
-    command = args.monitor_command
-    if command == "rules":
-        rules = [get_rule(name).to_dict() for name in available_rules()]
-        if args.json_output:
-            return _json_output(
-                "repro.monitor/1",
-                {"kind": "rules", "count": len(rules), "rules": rules},
-            )
+    def text() -> str:
         if args.quiet:
             return f"{len(rules)} alert rule(s) registered"
         return format_table(
@@ -2065,163 +1490,158 @@ def run_monitor(args: argparse.Namespace) -> str:
             title="Registered alert rules",
         )
 
-    if command == "alerts":
-        with _monitor_store(args) as store:
-            if args.campaign_id is not None:
-                store.get_campaign(args.campaign_id)
-            alerts = alert_history(store, args.campaign_id)
-        if args.json_output:
-            return _json_output(
-                "repro.monitor/1",
-                {"kind": "alerts", "count": len(alerts), "alerts": alerts},
-            )
+    return Reply("repro.monitor/1", {"kind": "rules", "count": len(rules), "rules": rules}, text)
+
+
+def run_monitor_alerts(args: argparse.Namespace) -> Reply:
+    """``monitor alerts``: the durable alert history (the ``GET /alerts`` body)."""
+    from repro.monitor import alert_payload
+
+    with _existing_store(args) as store:
+        payload = alert_payload(store, args.campaign_id)
+    alerts = payload["alerts"]
+
+    def text() -> str:
         if args.quiet:
             fired = sum(1 for row in alerts if row["state"] == "fired")
-            return (
-                f"{len(alerts)} alert row(s) ({fired} fired) in {args.store}"
-            )
+            return f"{len(alerts)} alert row(s) ({fired} fired) in {args.store}"
         if not alerts:
             return f"no alerts recorded in {args.store}"
-        return format_table(
-            headers=[
-                "campaign", "seq", "iter", "rule", "severity", "state",
-                "value", "threshold",
-            ],
-            rows=_alert_rows(alerts),
-            title=f"Alert history — {args.store} ({len(alerts)} row(s))",
-        )
+        return _alerts_table(alerts, f"Alert history — {args.store} ({len(alerts)} row(s))")
 
-    if command == "status":
-        with _monitor_store(args) as store:
-            verdict = HealthEvaluator().health(store=store)
-        if args.json_output:
-            return _json_output(
-                "repro.monitor/1", {"kind": "status", "health": verdict}
-            )
+    return Reply("repro.monitor/1", {"kind": "alerts", **payload}, text)
+
+
+def run_monitor_status(args: argparse.Namespace) -> Reply:
+    """``monitor status``: the per-component health verdict folded from a store."""
+    from repro.monitor import HealthEvaluator
+
+    with _existing_store(args) as store:
+        verdict = HealthEvaluator().health(store=store)
+    return Reply(
+        "repro.monitor/1",
+        {"kind": "status", "health": verdict},
+        lambda: (
+            f"{verdict['status']} — {args.store}"
+            if args.quiet
+            else _health_table(verdict, title=f"Campaign health — {args.store}")
+        ),
+    )
+
+
+def _watch_reply(args: argparse.Namespace, frame: int, verdict: dict, alerts: dict) -> Reply:
+    """One ``monitor watch`` frame: the daemon's health plus its recent alerts."""
+
+    def text() -> str:
         if args.quiet:
-            return f"{verdict['status']} — {args.store}"
-        return _health_table(verdict, title=f"Campaign health — {args.store}")
-
-    if command == "watch":
-        client = TunerClient(args.url, timeout=args.timeout)
-        interval = max(float(args.interval), 0.1)
-        deadline = (
-            time.monotonic() + args.max_seconds
-            if args.max_seconds > 0
-            else None
+            return f"frame {frame}: {verdict['status']} — {alerts['count']} alert row(s)"
+        out = _health_table(verdict, title=f"Tuner health — {args.url} (frame {frame})")
+        recent = alerts["alerts"][-8:]
+        if not recent:
+            return out + "\n\nno alerts recorded"
+        return out + "\n\n" + _alerts_table(
+            recent, f"Alert history — newest {len(recent)} of {alerts['count']} row(s)"
         )
-        frame = 0
-        output = ""
-        try:
-            while True:
-                verdict = client.health_deep()
-                alerts_payload = client.alerts()
-                frame += 1
-                if args.json_output:
-                    output = _json_output(
-                        "repro.monitor/1",
-                        {
-                            "kind": "watch",
-                            "frame": frame,
-                            "health": verdict,
-                            "alerts": alerts_payload,
-                        },
-                    )
-                elif args.quiet:
-                    output = (
-                        f"frame {frame}: {verdict['status']} — "
-                        f"{alerts_payload['count']} alert row(s)"
-                    )
-                else:
-                    output = _watch_frame(
-                        args.url, frame, verdict, alerts_payload
-                    )
-                done = args.once or (
-                    deadline is not None and time.monotonic() >= deadline
-                )
-                if done:
-                    return output
-                print(output, flush=True)
-                time.sleep(interval)
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            return output
 
-    if command == "bench":
-        try:
-            with open(args.fresh, "r", encoding="utf-8") as handle:
-                fresh = json.load(handle)
-        except (OSError, ValueError) as error:
+    payload = {"kind": "watch", "frame": frame, "health": verdict, "alerts": alerts}
+    return Reply("repro.monitor/1", payload, text)
+
+
+def run_monitor_watch(args: argparse.Namespace) -> Reply | str:
+    """``monitor watch``: poll a daemon's ``/health/deep`` and ``/alerts`` live."""
+    client = _client(args)
+    interval = max(float(args.interval), 0.1)
+    deadline = time.monotonic() + args.max_seconds if args.max_seconds > 0 else None
+    frame = 0
+    reply: Reply | str = ""
+    try:
+        while True:
+            verdict = client.health_deep()
+            alerts = client.alerts()
+            frame += 1
+            reply = _watch_reply(args, frame, verdict, alerts)
+            if args.once or (deadline is not None and time.monotonic() >= deadline):
+                return reply
+            print(_render(args, reply), flush=True)
+            time.sleep(interval)
+    except KeyboardInterrupt:  # pragma: no cover - interactive only
+        return reply
+
+
+def run_monitor_bench(args: argparse.Namespace) -> Reply:
+    """``monitor bench``: fresh benchmark results vs the committed references.
+
+    Regressions print the report, then exit 2 so CI fails.
+    """
+    from repro.monitor import watchdog
+
+    try:
+        with open(args.fresh, "r", encoding="utf-8") as handle:
+            fresh = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise ConfigurationError(
+            f"cannot read fresh benchmark results {args.fresh!r}: {error}"
+        ) from None
+    if not isinstance(fresh, dict):
+        raise ConfigurationError(
+            f"{args.fresh!r} must hold a JSON object mapping benchmark "
+            f"names to their metric dicts"
+        )
+    if args.benchmark is not None:
+        if args.benchmark not in fresh:
             raise ConfigurationError(
-                f"cannot read fresh benchmark results {args.fresh!r}: {error}"
-            ) from None
-        if not isinstance(fresh, dict):
-            raise ConfigurationError(
-                f"{args.fresh!r} must hold a JSON object mapping benchmark "
-                f"names to their metric dicts"
+                f"no benchmark {args.benchmark!r} in {args.fresh!r}; "
+                f"present: {', '.join(sorted(fresh)) or 'none'}"
             )
-        if args.benchmark is not None:
-            if args.benchmark not in fresh:
-                raise ConfigurationError(
-                    f"no benchmark {args.benchmark!r} in {args.fresh!r}; "
-                    f"present: {', '.join(sorted(fresh)) or 'none'}"
-                )
-            fresh = {args.benchmark: fresh[args.benchmark]}
-        verdict = watchdog(args.reference_dir, fresh)
-        if args.json_output:
-            output = _json_output(
-                "repro.monitor/1", {"kind": "bench", **verdict}
-            )
-        elif args.quiet:
-            output = (
+        fresh = {args.benchmark: fresh[args.benchmark]}
+    verdict = watchdog(args.reference_dir, fresh)
+
+    def text() -> str:
+        if args.quiet:
+            return (
                 f"{verdict['status']} — {len(verdict['checked'])} "
                 f"benchmark(s) checked, {len(verdict['regressions'])} "
                 f"regression(s)"
             )
-        else:
-            lines = [
-                f"checked: {', '.join(verdict['checked']) or 'none'}",
-            ]
-            if verdict["unmatched"]:
-                lines.append(
-                    "unmatched (no committed reference): "
-                    + ", ".join(verdict["unmatched"])
-                )
-            if verdict["regressions"]:
-                lines.append("")
-                lines.append(format_table(
-                    headers=[
-                        "benchmark", "metric", "reference", "fresh",
-                        "limit", "severity",
-                    ],
-                    rows=[
-                        [
-                            reg["benchmark"],
-                            reg["metric"],
-                            reg["reference"],
-                            reg["fresh"],
-                            reg["limit"] if reg["limit"] is not None else "-",
-                            reg["severity"],
-                        ]
-                        for reg in verdict["regressions"]
-                    ],
-                    title="Benchmark regressions",
-                ))
-            else:
-                lines.append("no regressions")
-            lines.append(f"overall: {verdict['status']}")
-            output = "\n".join(lines)
-        if verdict["regressions"]:
-            # Exit 2 for CI after the report is visible on stdout.
-            print(output, flush=True)
-            raise ConfigurationError(
-                f"{len(verdict['regressions'])} benchmark regression(s) "
-                f"against {args.reference_dir}"
+        lines = [f"checked: {', '.join(verdict['checked']) or 'none'}"]
+        if verdict["unmatched"]:
+            lines.append(
+                "unmatched (no committed reference): " + ", ".join(verdict["unmatched"])
             )
-        return output
+        if verdict["regressions"]:
+            lines.append("")
+            lines.append(format_table(
+                headers=[
+                    "benchmark", "metric", "reference", "fresh",
+                    "limit", "severity",
+                ],
+                rows=[
+                    [
+                        reg["benchmark"],
+                        reg["metric"],
+                        reg["reference"],
+                        reg["fresh"],
+                        reg["limit"] if reg["limit"] is not None else "-",
+                        reg["severity"],
+                    ]
+                    for reg in verdict["regressions"]
+                ],
+                title="Benchmark regressions",
+            ))
+        else:
+            lines.append("no regressions")
+        lines.append(f"overall: {verdict['status']}")
+        return "\n".join(lines)
 
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown monitor command {command!r}"
-    )
+    reply = Reply("repro.monitor/1", {"kind": "bench", **verdict}, text)
+    if verdict["regressions"]:
+        # Exit 2 for CI after the report is visible on stdout.
+        print(_render(args, reply), flush=True)
+        raise ConfigurationError(
+            f"{len(verdict['regressions'])} benchmark regression(s) "
+            f"against {args.reference_dir}"
+        )
+    return reply
 
 
 # -- the serve daemon and its remote clients ---------------------------------------
@@ -2291,253 +1711,592 @@ def run_serve(args: argparse.Namespace) -> str:
     return line + "\n\n" + server_stats_table(stats)
 
 
-def _remote_submit_spec(args: argparse.Namespace) -> dict:
-    """The CampaignSpec JSON body a ``remote submit`` invocation describes."""
-    return {
-        "name": args.name,
-        "dataset": args.dataset,
-        "scenario": args.scenario,
-        "source": args.source,
-        "method": args.method,
-        "budget": args.budget,
-        "lam": args.lam,
-        "seed": args.seed,
-        "base_size": args.initial_size,
-        "validation_size": args.validation_size,
-        "epochs": args.epochs,
-        "curve_points": args.curve_points,
-        "priority": args.priority,
-        "checkpoint_every": args.checkpoint_every,
-        "evaluate": args.evaluate,
-        "discover": args.discover,
-        "reslice_every": args.reslice_every if args.discover is not None else 0,
-    }
-
-
-def run_remote(args: argparse.Namespace) -> str:
-    """Dispatch for the ``remote`` family: thin clients over TunerClient."""
-    from repro.experiments.reporting import server_stats_table, server_status_line
+def _client(args: argparse.Namespace) -> TunerClient:
+    """The HTTP client for ``--url`` (the ``remote`` and ``monitor watch`` leaves)."""
     from repro.serve.client import TunerClient
 
-    client = TunerClient(args.url, timeout=args.timeout)
-    command = args.remote_command
+    return TunerClient(args.url, timeout=args.timeout)
 
-    if command == "submit":
-        submitted = client.submit(_remote_submit_spec(args))
-        campaign_id = submitted["campaign_id"]
-        if args.wait:
-            client.wait(campaign_id, timeout=args.timeout)
-            summary = client.show(campaign_id)
-            if args.json_output:
-                return _json_output(
-                    "repro.remote.submit/1",
-                    {"submitted": submitted, "campaign": summary,
-                     "result": client.result(campaign_id)},
-                )
-            return _show_quiet(summary)
-        if args.json_output:
-            return _json_output("repro.remote.submit/1", {"submitted": submitted})
-        return (
-            f"{campaign_id}: submitted ({submitted['status']}"
-            f"{', reused' if submitted['reused'] else ''})"
+
+def run_remote_submit(args: argparse.Namespace) -> Reply:
+    """``remote submit``: submit the flags' CampaignSpec (``--wait``: until done)."""
+    client = _client(args)
+    submitted = client.submit(_spec_fields(args))
+    campaign_id = submitted["campaign_id"]
+    if not args.wait:
+        reused = ", reused" if submitted["reused"] else ""
+        return Reply(
+            "repro.remote.submit/1",
+            {"submitted": submitted},
+            lambda: f"{campaign_id}: submitted ({submitted['status']}{reused})",
         )
+    client.wait(campaign_id, timeout=args.timeout)
+    summary = client.show(campaign_id)
+    payload = {"submitted": submitted, "campaign": summary}
+    if args.json_output:
+        # Only the JSON form carries the result: text skips the request.
+        payload["result"] = client.result(campaign_id)
+    return Reply("repro.remote.submit/1", payload, lambda: _show_quiet(summary))
 
-    if command == "list":
-        campaigns = client.list_campaigns()
-        if args.json_output:
-            return _json_output(
-                "repro.remote.list/1", {"url": args.url, "campaigns": campaigns}
-            )
-        if not campaigns:
-            return f"no campaigns at {args.url}"
-        return _campaigns_table(campaigns, args.quiet, f"Campaigns at {args.url}")
 
-    if command == "show":
-        summary = client.show(args.campaign_id)
-        stats = client.stats()
-        if args.json_output:
-            return _json_output(
-                "repro.remote.show/1", {"campaign": summary, "stats": stats}
-            )
-        if args.quiet:
-            return _show_quiet(summary)
-        return _campaign_header(
-            summary, summary["spec"], progress=True
-        ) + server_stats_table(stats)
+def run_remote_list(args: argparse.Namespace) -> Reply:
+    """``remote list``: the daemon's campaigns."""
+    campaigns = _client(args).list_campaigns()
+    return Reply(
+        "repro.remote.list/1",
+        {"url": args.url, "campaigns": campaigns},
+        lambda: _campaigns_table(campaigns, args.quiet, f"at {args.url}"),
+    )
 
-    if command == "tail":
-        frames = []
-        for frame in client.tail(
-            args.campaign_id, after=args.after, reconnect=args.reconnect
-        ):
-            frames.append(frame)
-            if args.json_output:
-                continue  # collected and printed as one object at the end
-            if frame["event"] == "tick":
-                if not args.quiet:
-                    data = frame["data"]
-                    print(
-                        f"[tick] {data['name']} iteration {data['iteration']} — "
-                        f"spent {data['spent']:.0f}/{data['budget']:.0f}",
-                        flush=True,
-                    )
-                continue
-            if frame["event"] == "end":
-                continue  # summarized by the return value below
-            print(
-                f"{frame['id']} {frame['event']} "
-                f"{json.dumps(frame['data']['payload'], sort_keys=True)}",
-                flush=True,
-            )
-        end = frames[-1]["data"] if frames and frames[-1]["event"] == "end" else {}
-        if args.json_output:
-            return _json_output(
-                "repro.remote.tail/1",
-                {"campaign_id": args.campaign_id, "frames": frames},
-            )
-        return (
+
+def run_remote_show(args: argparse.Namespace) -> Reply:
+    """``remote show``: one campaign's progress plus the daemon's health table."""
+    from repro.experiments.reporting import server_stats_table
+
+    client = _client(args)
+    summary = client.show(args.campaign_id)
+    stats = client.stats()
+    return Reply(
+        "repro.remote.show/1",
+        {"campaign": summary, "stats": stats},
+        lambda: (
+            _show_quiet(summary)
+            if args.quiet
+            else _campaign_header(summary, progress=True) + server_stats_table(stats)
+        ),
+    )
+
+
+def run_remote_tail(args: argparse.Namespace) -> Reply:
+    """``remote tail``: stream a campaign's events live (SSE).
+
+    Text mode prints each frame as it arrives; ``--json`` collects them
+    into one object printed at the end.
+    """
+    client = _client(args)
+    frames = []
+    for frame in client.tail(
+        args.campaign_id, after=args.after, reconnect=args.reconnect
+    ):
+        frames.append(frame)
+        if args.json_output or frame["event"] == "end":
+            continue  # printed as one object / summarized by the reply
+        if frame["event"] == "tick":
+            if not args.quiet:
+                data = frame["data"]
+                print(
+                    f"[tick] {data['name']} iteration {data['iteration']} — "
+                    f"spent {data['spent']:.0f}/{data['budget']:.0f}",
+                    flush=True,
+                )
+            continue
+        print(
+            f"{frame['id']} {frame['event']} "
+            f"{json.dumps(frame['data']['payload'], sort_keys=True)}",
+            flush=True,
+        )
+    end = frames[-1]["data"] if frames and frames[-1]["event"] == "end" else {}
+    return Reply(
+        "repro.remote.tail/1",
+        {"campaign_id": args.campaign_id, "frames": frames},
+        lambda: (
             f"{args.campaign_id} {end.get('status', '?')} "
             f"(last event seq {end.get('last_seq', client.last_event_id)})"
-        )
+        ),
+    )
 
-    if command == "result":
-        result = client.result(args.campaign_id)
-        if args.json_output:
-            return _json_output(
-                "repro.remote.result/1",
-                {"campaign_id": args.campaign_id, "result": result},
-            )
-        acquired = sum(result.get("total_acquired", {}).values())
-        return (
+
+def run_remote_result(args: argparse.Namespace) -> Reply:
+    """``remote result``: a completed campaign's TuningResult."""
+    result = _client(args).result(args.campaign_id)
+    acquired = sum(result.get("total_acquired", {}).values())
+    return Reply(
+        "repro.remote.result/1",
+        {"campaign_id": args.campaign_id, "result": result},
+        lambda: (
             f"{args.campaign_id}: method={result['method']} "
             f"iterations={len(result.get('iterations', []))} "
             f"spent={result['spent']:.2f} acquired={acquired}"
-        )
-
-    if command == "wait":
-        summary = client.wait(args.campaign_id, timeout=args.timeout)
-        if args.json_output:
-            return _json_output("repro.remote.wait/1", {"campaign": summary})
-        return _show_quiet(summary)
-
-    if command == "pause":
-        outcome = client.pause(args.campaign_id)
-        if args.json_output:
-            return _json_output("repro.remote.pause/1", outcome)
-        state = "paused" if outcome["paused"] else "not pausable (done or idle)"
-        return f"{args.campaign_id}: {state}"
-
-    if command == "resume":
-        if args.resume_all and args.campaign_id:
-            raise ConfigurationError("pass either a campaign id or --all, not both")
-        if args.resume_all:
-            resumed = client.resume_all()
-            if args.json_output:
-                return _json_output("repro.remote.resume/1", {"resumed": resumed})
-            if not resumed:
-                return "nothing to resume: every stored campaign is completed"
-            return "\n".join(f"{campaign_id} resumed" for campaign_id in resumed)
-        if not args.campaign_id:
-            raise ConfigurationError("remote resume needs a campaign id (or --all)")
-        outcome = client.resume(args.campaign_id)
-        if args.json_output:
-            return _json_output("repro.remote.resume/1", {"resumed": [outcome]})
-        return f"{args.campaign_id}: {outcome['status']}"
-
-    if command == "stats":
-        stats = client.stats()
-        if args.json_output:
-            return _json_output(
-                "repro.remote.stats/1", {"url": args.url, "stats": stats}
-            )
-        if args.quiet:
-            return server_status_line(stats)
-        return server_stats_table(stats, title=f"Tuner service health — {args.url}")
-
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown remote command {command!r}"
+        ),
     )
 
 
-def run_strategies(args: argparse.Namespace) -> str:
+def run_remote_wait(args: argparse.Namespace) -> Reply:
+    """``remote wait``: block until a campaign completes."""
+    summary = _client(args).wait(args.campaign_id, timeout=args.timeout)
+    return Reply("repro.remote.wait/1", {"campaign": summary}, lambda: _show_quiet(summary))
+
+
+def run_remote_pause(args: argparse.Namespace) -> Reply:
+    """``remote pause``: checkpoint and pause a running campaign."""
+    outcome = _client(args).pause(args.campaign_id)
+    state = "paused" if outcome["paused"] else "not pausable (done or idle)"
+    return Reply("repro.remote.pause/1", outcome, lambda: f"{args.campaign_id}: {state}")
+
+
+def run_remote_resume(args: argparse.Namespace) -> Reply:
+    """``remote resume``: re-activate one paused/stored campaign, or ``--all``."""
+    client = _client(args)
+    _require_id_or_all(args)
+    if args.resume_all:
+        resumed = client.resume_all()
+        return Reply(
+            "repro.remote.resume/1",
+            {"resumed": resumed},
+            lambda: "\n".join(f"{campaign_id} resumed" for campaign_id in resumed)
+            or "nothing to resume: every stored campaign is completed",
+        )
+    outcome = client.resume(args.campaign_id)
+    return Reply(
+        "repro.remote.resume/1",
+        {"resumed": [outcome]},
+        lambda: f"{args.campaign_id}: {outcome['status']}",
+    )
+
+
+def run_remote_stats(args: argparse.Namespace) -> Reply:
+    """``remote stats``: the daemon's health table."""
+    from repro.experiments.reporting import server_stats_table, server_status_line
+
+    stats = _client(args).stats()
+    return Reply(
+        "repro.remote.stats/1",
+        {"url": args.url, "stats": stats},
+        lambda: (
+            server_status_line(stats)
+            if args.quiet
+            else server_stats_table(stats, title=f"Tuner service health — {args.url}")
+        ),
+    )
+
+
+def run_strategies(args: argparse.Namespace) -> Reply:
     """The ``strategies`` subcommand: list the acquisition-strategy registry."""
-    from repro.core.registry import available_strategies, get_strategy, strategy_descriptions
+    from repro.core.registry import get_strategy, strategy_descriptions
 
-    if args.json_output:
-        return _json_output(
-            "repro.strategies/1",
-            {
-                "strategies": [
-                    {
-                        "name": name,
-                        "kind": (
-                            "iterative"
-                            if get_strategy(name).is_iterative
-                            else "one-shot"
-                        ),
-                        "uses_lambda": get_strategy(name).uses_lam,
-                        "description": description,
-                    }
-                    for name, description in strategy_descriptions().items()
-                ]
-            },
-        )
-    if args.quiet:
-        return "\n".join(available_strategies())
-    rows = []
-    for name, description in strategy_descriptions().items():
-        strategy = get_strategy(name)
-        kind = "iterative" if strategy.is_iterative else "one-shot"
-        uses_lam = "yes" if strategy.uses_lam else "no"
-        rows.append([name, kind, uses_lam, description])
-    return format_table(
-        headers=["strategy", "kind", "uses lambda", "description"],
-        rows=rows,
-        title="Registered acquisition strategies",
+    strategies = [
+        {
+            "name": name,
+            "kind": "iterative" if get_strategy(name).is_iterative else "one-shot",
+            "uses_lambda": get_strategy(name).uses_lam,
+            "description": description,
+        }
+        for name, description in strategy_descriptions().items()
+    ]
+    return Reply(
+        "repro.strategies/1",
+        {"strategies": strategies},
+        lambda: (
+            "\n".join(s["name"] for s in strategies)
+            if args.quiet
+            else format_table(
+                headers=["strategy", "kind", "uses lambda", "description"],
+                rows=[
+                    [s["name"], s["kind"], "yes" if s["uses_lambda"] else "no", s["description"]]
+                    for s in strategies
+                ],
+                title="Registered acquisition strategies",
+            )
+        ),
     )
 
 
-def run_sources(args: argparse.Namespace) -> str:
+def run_sources(args: argparse.Namespace) -> Reply:
     """The ``sources`` subcommand: list the data-source provider registry."""
     from repro.acquisition.providers import source_descriptions
 
     descriptions = source_descriptions()
-    if args.json_output:
-        return _json_output(
-            "repro.sources/1",
-            {
-                "sources": [
-                    {"name": name, "description": description}
-                    for name, description in descriptions.items()
-                ]
-            },
-        )
-    if args.quiet:
-        return "\n".join(descriptions)
-    rows = [[name, description] for name, description in descriptions.items()]
-    return format_table(
-        headers=["source", "description"],
-        rows=rows,
-        title="Registered data-source providers",
+    return Reply(
+        "repro.sources/1",
+        {
+            "sources": [
+                {"name": name, "description": description}
+                for name, description in descriptions.items()
+            ]
+        },
+        lambda: (
+            "\n".join(descriptions)
+            if args.quiet
+            else format_table(
+                headers=["source", "description"],
+                rows=[[name, description] for name, description in descriptions.items()],
+                title="Registered data-source providers",
+            )
+        ),
     )
 
 
-_COMMANDS = {
-    "curves": run_curves,
-    "plan": run_plan,
-    "discover": run_discover,
-    "run": run_run,
-    "compare": run_compare,
-    "campaign": run_campaign,
-    "cache": run_cache,
-    "telemetry": run_telemetry,
-    "report": run_report,
-    "monitor": run_monitor,
-    "serve": run_serve,
-    "remote": run_remote,
-    "strategies": run_strategies,
-    "sources": run_sources,
+# -- the command table --------------------------------------------------------------
+
+#: Help of each command group (the first word of a two-word leaf path).
+GROUPS = {
+    "campaign": "durable campaign runs: start, resume, list, show",
+    "cache": "inspect and maintain the persistent shared result/curve cache",
+    "telemetry": "inspect a recorded trace directory: spans, metrics, summary",
+    "remote": "drive a running tuner service daemon over HTTP",
+    "monitor": "health & alerting: SLO rules, alert history, live dashboard",
 }
+
+#: Every leaf command as ``(path, handler, help, flags)``; the module
+#: docstring lists the same inventory.
+LEAVES = (
+    ("curves", run_curves, "estimate per-slice learning curves", COMMON),
+    (
+        "discover",
+        run_discover,
+        "run a slice-discovery method once and print the partition",
+        COMMON + JSON + (
+            _flag(
+                "--method",
+                default="kmeans",
+                type=_registered_discovery,
+                metavar="METHOD",
+                help="registered discovery method to fit (default: kmeans)",
+            ),
+            _flag(
+                "--list",
+                action="store_true",
+                dest="list_methods",
+                help="list the registered discovery methods and exit",
+            ),
+        ),
+    ),
+    ("plan", run_plan, "print the One-shot acquisition plan for a budget", COMMON + BUDGET),
+    (
+        "run",
+        run_run,
+        "run one strategy end to end and print the fulfillment log",
+        COMMON + BUDGET + EXECUTOR + CACHE_DIR + TRACE_OUT + JSON + DISCOVERY + (
+            METHOD,
+            SOURCE,
+            _flag(
+                "--rounds",
+                type=int,
+                default=1,
+                help="routing rounds per acquisition request (re-ask throttled or "
+                "partially-delivering providers up to this many times per batch)",
+            ),
+            _flag(
+                "--evaluate",
+                action="store_true",
+                help="also train and evaluate the model before and after acquisition",
+            ),
+            _flag(
+                "--resume",
+                metavar="CAMPAIGN_ID",
+                default=None,
+                help="instead of a fresh run, resume the stored campaign from its "
+                "latest snapshot (shorthand for `campaign resume CAMPAIGN_ID`)",
+            ),
+            _flag(
+                "--store",
+                default=DEFAULT_STORE,
+                help=f"campaign store used by --resume (default: {DEFAULT_STORE})",
+            ),
+        ),
+    ),
+    (
+        "compare",
+        run_compare,
+        "compare acquisition methods over trials",
+        COMMON + BUDGET + EXECUTOR + (
+            _flag(
+                "--methods",
+                nargs="+",
+                default=["uniform", "water_filling", "moderate"],
+                type=_registered_method,
+                metavar="STRATEGY",
+                help="registered strategy names to compare (see the strategies subcommand)",
+            ),
+            _flag("--trials", type=int, default=2, help="independently seeded repetitions"),
+            _flag(
+                "--show-allocations",
+                action="store_true",
+                help="also print the mean per-slice acquisitions (Table 3 style)",
+            ),
+        ),
+    ),
+    (
+        "campaign start",
+        run_campaign_start,
+        "start a new campaign (or the builtin --suite), persisting every iteration",
+        STORE + TRACE_OUT + SPEC + (
+            _flag("--name", default=None, help="campaign name (required unless --suite)"),
+            _flag(
+                "--max-steps",
+                type=int,
+                default=None,
+                help="pause (checkpointed) after this many iterations instead of "
+                "running to completion",
+            ),
+            _flag(
+                "--suite",
+                action="store_true",
+                help="run the builtin campaign_suite: 3 heterogeneous campaigns "
+                "multiplexed over one shared engine executor",
+            ),
+        ),
+    ),
+    (
+        "campaign resume",
+        run_campaign_resume,
+        "resume stored campaigns after a pause or crash",
+        STORE + TRACE_OUT + ID_OR_ALL + JSON,
+    ),
+    ("campaign list", run_campaign_list, "list every stored campaign", STORE + JSON),
+    (
+        "campaign show",
+        run_campaign_show,
+        "replay one campaign's event log into a progress report",
+        STORE + JSON + CAMPAIGN_ID,
+    ),
+    (
+        "serve",
+        run_serve,
+        "run the tuner service daemon (HTTP campaign API + SSE streams)",
+        STORE + TRACE_OUT + (
+            _flag("--host", default=DEFAULT_HOST, help="bind address"),
+            _flag(
+                "--port",
+                type=int,
+                default=DEFAULT_PORT,
+                help=f"bind port; 0 picks a free one (default: {DEFAULT_PORT})",
+            ),
+            _flag(
+                "--resume-all",
+                action="store_true",
+                dest="resume_all",
+                help="re-activate every unfinished stored campaign on startup",
+            ),
+        ),
+    ),
+    (
+        "cache stats",
+        run_cache_stats,
+        "tiered hit/miss/size statistics of the shared cache",
+        CACHE_DIR + QUIET + JSON,
+    ),
+    (
+        "cache clear",
+        run_cache_clear,
+        "drop every cached result and curve (keeps statistics)",
+        CACHE_DIR + QUIET + JSON,
+    ),
+    (
+        "cache gc",
+        run_cache_gc,
+        "evict least-recently-accessed entries until the cache fits",
+        CACHE_DIR + QUIET + JSON + (
+            _flag(
+                "--max-mb",
+                type=float,
+                required=True,
+                dest="max_mb",
+                help="target payload size in megabytes (LRU eviction by last access)",
+            ),
+        ),
+    ),
+    (
+        "telemetry spans",
+        run_telemetry_spans,
+        "the recorded span log (newest last)",
+        TRACE_DIR + (
+            _flag(
+                "--name",
+                default=None,
+                dest="span_name",
+                help="only spans with this name (e.g. session.iteration)",
+            ),
+            _flag("--limit", type=int, default=0, help="print only the newest N spans (0 = all)"),
+        ),
+    ),
+    (
+        "telemetry metrics",
+        run_telemetry_metrics,
+        "the merged counter/gauge/histogram snapshot",
+        TRACE_DIR,
+    ),
+    (
+        "telemetry summary",
+        run_telemetry_summary,
+        "per-span-name timing rollup (count/mean/max/errors)",
+        TRACE_DIR,
+    ),
+    (
+        "report",
+        run_report,
+        "analytics reports: SQL views over the campaign event log",
+        STORE + JSON + (
+            _flag(
+                "report_kind",
+                choices=(
+                    "summary", "slices", "fulfillment", "fairness", "cache",
+                    "telemetry", "alerts",
+                ),
+                help="which report to render (each is one or two analytics views)",
+            ),
+            _flag(
+                "--campaign",
+                default=None,
+                dest="campaign_id",
+                help="restrict the report to one campaign id (not valid for fairness)",
+            ),
+            _flag(
+                "--analytics",
+                default=None,
+                dest="analytics_path",
+                help="analytics database path (default: <store>.analytics)",
+            ),
+            _flag(
+                "--rebuild",
+                action="store_true",
+                help="rebuild the analytics mirror from scratch instead of the "
+                "incremental cursor refresh (the two are byte-identical; this "
+                "exists to prove it and to recover a corrupted mirror)",
+            ),
+            _flag(
+                "--verify",
+                action="store_true",
+                help="cross-check every SQL view row-for-row against the pure-Python "
+                "reference before reporting (exit 2 on any mismatch)",
+            ),
+        ),
+    ),
+    (
+        "remote submit",
+        run_remote_submit,
+        "submit a campaign spec to the daemon",
+        URL + SPEC + (
+            _flag("--name", required=True, help="campaign name"),
+            _flag(
+                "--wait",
+                action="store_true",
+                help="block until the campaign completes and print its summary",
+            ),
+        ),
+    ),
+    ("remote list", run_remote_list, "list the daemon's campaigns", URL),
+    (
+        "remote show",
+        run_remote_show,
+        "one campaign's progress plus the daemon's health table",
+        URL + CAMPAIGN_ID,
+    ),
+    (
+        "remote tail",
+        run_remote_tail,
+        "stream a campaign's events live (SSE)",
+        URL + CAMPAIGN_ID + (
+            _flag(
+                "--after",
+                type=int,
+                default=0,
+                help="resume cursor: only stream events with seq > AFTER",
+            ),
+            _flag(
+                "--reconnect",
+                type=int,
+                default=0,
+                help="retry dropped connections this many times (resuming from the cursor)",
+            ),
+        ),
+    ),
+    ("remote result", run_remote_result, "fetch a completed campaign's TuningResult", URL + CAMPAIGN_ID),
+    ("remote wait", run_remote_wait, "block until a campaign completes", URL + CAMPAIGN_ID),
+    ("remote pause", run_remote_pause, "checkpoint + pause a running campaign", URL + CAMPAIGN_ID),
+    ("remote resume", run_remote_resume, "re-activate paused/stored campaigns", URL + ID_OR_ALL),
+    ("remote stats", run_remote_stats, "the daemon's health table", URL),
+    (
+        "monitor rules",
+        run_monitor_rules,
+        "list every registered alert rule and its thresholds",
+        QUIET + JSON,
+    ),
+    (
+        "monitor alerts",
+        run_monitor_alerts,
+        "the durable alert history replayed from a store",
+        STORE + JSON + (
+            _flag("--campaign", default=None, dest="campaign_id", help="restrict to one campaign id"),
+        ),
+    ),
+    (
+        "monitor status",
+        run_monitor_status,
+        "per-component health verdict folded from a store's alerts",
+        STORE + JSON,
+    ),
+    (
+        "monitor watch",
+        run_monitor_watch,
+        "live dashboard: poll a daemon's /health/deep and /alerts",
+        URL + (
+            _flag(
+                "--interval",
+                type=float,
+                default=2.0,
+                help="seconds between refreshes (default: 2.0)",
+            ),
+            _flag(
+                "--max-seconds",
+                type=float,
+                default=0.0,
+                help="stop after this many seconds (0 = run until interrupted)",
+            ),
+            _flag("--once", action="store_true", help="render a single frame and exit"),
+        ),
+    ),
+    (
+        "monitor bench",
+        run_monitor_bench,
+        "benchmark-regression watchdog: fresh results vs committed BENCH_*.json references",
+        QUIET + JSON + (
+            _flag(
+                "--fresh",
+                required=True,
+                help="JSON file of freshly measured benchmark results "
+                "({benchmark: {metric: value}})",
+            ),
+            _flag("--benchmark", default=None, help="restrict the comparison to one benchmark name"),
+            _flag(
+                "--reference-dir",
+                default="benchmarks",
+                help="directory holding the committed BENCH_*.json references "
+                "(default: benchmarks)",
+            ),
+        ),
+    ),
+    ("strategies", run_strategies, "list every registered acquisition strategy", QUIET + JSON),
+    ("sources", run_sources, "list every registered data-source provider", QUIET + JSON),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Build the top-level argument parser from :data:`LEAVES`.
+
+    Each leaf's subparser carries its handler (``args.handler``) and its
+    path (``args.leaf``) as defaults.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Slice Tuner: selective data acquisition (SIGMOD 2021 reproduction)",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for path, handler, help_text, flags in LEAVES:
+        *group, name = path.split()
+        subparsers = commands
+        if group:
+            if group[0] not in groups:
+                groups[group[0]] = commands.add_parser(
+                    group[0], help=GROUPS[group[0]]
+                ).add_subparsers(dest=f"{group[0]}_command", required=True)
+            subparsers = groups[group[0]]
+        leaf = subparsers.add_parser(name, help=help_text)
+        for names, options in flags:
+            leaf.add_argument(*names, **options)
+        leaf.set_defaults(handler=handler, leaf=path)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -2548,11 +2307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     invalid flag combinations — the same code argparse uses for parse
     errors).  Unexpected exceptions propagate as tracebacks.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS.get(args.command)
-    if handler is None:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
+    args = build_parser().parse_args(argv)
     # Tracing lifecycle: commands that declare --trace-out get a live
     # tracer plus a fresh metrics registry for their whole run (so the
     # written snapshot covers exactly this command); shutdown flushes the
@@ -2563,7 +2318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         telemetry.configure(trace_dir=trace_dir)
         previous_registry = telemetry.set_registry(telemetry.MetricsRegistry())
     try:
-        output = handler(args)
+        output = _render(args, args.handler(args))
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

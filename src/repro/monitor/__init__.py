@@ -33,6 +33,7 @@ _EXPORTS = {
     "Regression": ".regression",
     "RollingWindow": ".windows",
     "alert_history": ".health",
+    "alert_payload": ".health",
     "available_rules": ".rules",
     "campaign_rules": ".rules",
     "compare_numbers": ".regression",

@@ -362,6 +362,20 @@ def alert_history(
     return rows
 
 
+def alert_payload(
+    store: CampaignStore, campaign_id: str | None = None
+) -> dict[str, Any]:
+    """:func:`alert_history` with its row count (``GET /alerts``, ``monitor alerts``).
+
+    ``campaign_id`` narrows to one campaign; an unknown id raises the
+    store's :class:`~repro.utils.exceptions.CampaignError`.
+    """
+    if campaign_id is not None:
+        store.get_campaign(campaign_id)
+    rows = alert_history(store, campaign_id)
+    return {"count": len(rows), "alerts": rows}
+
+
 def _active_campaign_alerts(
     store: CampaignStore,
 ) -> list[dict[str, Any]]:

@@ -28,7 +28,7 @@ import time
 from typing import Any, Mapping
 
 from repro.analytics import Analytics
-from repro.campaigns.campaign import Campaign, CampaignSpec, campaign_summary
+from repro.campaigns.campaign import Campaign, CampaignSpec
 from repro.campaigns.scheduler import CampaignScheduler, SchedulerTick
 from repro.campaigns.store import (
     COMPLETED,
@@ -38,10 +38,13 @@ from repro.campaigns.store import (
     CampaignEvent,
     CampaignStore,
     InMemoryStore,
+    campaign_detail,
+    campaign_log,
+    campaign_summaries,
     replay_events,
 )
 from repro.engine.cache import InMemoryResultCache, ResultCache
-from repro.monitor import HealthEvaluator, alert_history
+from repro.monitor import HealthEvaluator, alert_payload
 from repro.telemetry import (
     MetricsRegistry,
     get_registry,
@@ -226,16 +229,11 @@ class TunerService:
     # -- read side ---------------------------------------------------------------
     def list_campaigns(self) -> list[dict[str, Any]]:
         """One progress summary per stored campaign, in creation order."""
-        return [
-            campaign_summary(self.store, record.campaign_id)
-            for record in self.store.list_campaigns()
-        ]
+        return campaign_summaries(self.store)
 
     def show(self, campaign_id: str) -> dict[str, Any]:
         """Record + replayed progress of one campaign (summary + spec)."""
-        summary = campaign_summary(self.store, campaign_id)
-        summary["spec"] = dict(self.store.get_campaign(campaign_id).spec)
-        return summary
+        return campaign_detail(self.store, campaign_id)
 
     def result(self, campaign_id: str) -> dict[str, Any]:
         """The final :class:`~repro.core.plan.TuningResult` as a JSON dict.
@@ -257,8 +255,7 @@ class TunerService:
 
     def log(self, campaign_id: str) -> list[dict[str, Any]]:
         """The campaign's replayed (generation-collapsed) event log."""
-        events = replay_events(self.store.events(campaign_id))
-        return [event.to_dict() for event in events]
+        return campaign_log(self.store, campaign_id)
 
     def events_since(self, campaign_id: str, after: int) -> list[CampaignEvent]:
         """Replayed events with ``seq > after`` (the SSE catch-up query).
@@ -425,10 +422,7 @@ class TunerService:
         store; ``campaign_id`` narrows to one campaign (404-mapped when
         unknown).
         """
-        if campaign_id is not None:
-            self.store.get_campaign(campaign_id)  # 404-mapped when unknown
-        rows = alert_history(self.store, campaign_id)
-        return {"count": len(rows), "alerts": rows}
+        return alert_payload(self.store, campaign_id)
 
     def span_summary(self, campaign_id: str) -> dict[str, Any]:
         """Aggregate a campaign's persisted telemetry spans by span name.

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from repro.campaigns import Campaign, CampaignSpec, InMemoryStore, SqliteStore
-from repro.campaigns.campaign import campaign_summary
+from repro.campaigns.store import campaign_summary
 from repro.campaigns.store import replay_events
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")

@@ -493,3 +493,86 @@ class TestJsonSchemaTags:
         assert main(["report", "summary", "--store", store_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro.report/1"
+
+
+def _leaves_in_docstring() -> set[str]:
+    """The leaf inventory block of the ``repro.cli`` module docstring."""
+    import repro.cli
+
+    lines = repro.cli.__doc__.split("Leaf inventory", 1)[1].split("\n\n")[1].splitlines()
+    leaves = set()
+    for line in lines:
+        group, _, names = line.strip().rpartition(":")
+        leaves.update(" ".join(filter(None, [group, name.strip()])) for name in names.split(","))
+    return leaves
+
+
+def _leaves_in_parser() -> set[str]:
+    """Every leaf path the parser accepts, walked from its subparsers."""
+    import argparse
+
+    def walk(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return {" ".join(path)}
+        return set().union(*(walk(sub, [*path, name]) for name, sub in subs[0].choices.items()))
+
+    return walk(build_parser(), [])
+
+
+class TestLeafTable:
+    def test_parser_leaves_equal_the_docstring_inventory(self):
+        assert len(_leaves_in_parser()) == 33
+        assert _leaves_in_parser() == _leaves_in_docstring()
+
+    @pytest.mark.parametrize("leaf", sorted(_leaves_in_parser()))
+    def test_every_leaf_has_help_and_a_handler(self, capsys, leaf):
+        with pytest.raises(SystemExit) as exit:
+            main([*leaf.split(), "--help"])
+        assert exit.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro")
+
+
+class TestReadOnlyStoreCommands:
+    """Commands that only read a store never create one: exit 2 instead."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "list"],
+            ["campaign", "list", "--json"],
+            ["campaign", "show", "some-id"],
+            ["report", "summary"],
+            ["monitor", "alerts"],
+            ["monitor", "status"],
+        ],
+    )
+    def test_missing_store_exits_2_and_creates_nothing(self, capsys, tmp_path, argv):
+        store = tmp_path / "missing.sqlite"
+        assert main([*argv, "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: no campaign store at {str(store)!r}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestKillHookEnvironment:
+    """The crash-test hook's env vars come from outside: bad values exit 2."""
+
+    @pytest.mark.parametrize(
+        "env, named",
+        [
+            ({"REPRO_CAMPAIGN_KILL_AFTER": "1", "REPRO_CAMPAIGN_KILL_SIGNAL": "BOGUS"}, "'BOGUS'"),
+            ({"REPRO_CAMPAIGN_KILL_AFTER": "soon"}, "'soon'"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch, env, named):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        store = tmp_path / "camp.sqlite"
+        argv = ["campaign", "start", "--name", "k", *CAMPAIGN_FAST, "--store", str(store)]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: REPRO_CAMPAIGN_KILL_")
+        assert named in error
+        assert not store.exists()

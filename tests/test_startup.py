@@ -112,6 +112,8 @@ class TestImportBudget:
         [
             (("report", "summary", "--json"), "repro.report/1"),
             (("monitor", "status", "--json"), "repro.monitor/1"),
+            (("campaign", "list", "--json"), "repro.campaign.list/1"),
+            (("campaign", "show", "c-alpha", "--json"), "repro.campaign.show/1"),
         ],
     )
     def test_store_readers_load_no_numpy(self, tiny_store, argv, schema):
