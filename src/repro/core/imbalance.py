@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.optimizer import bisect
 from repro.utils.exceptions import OptimizationError
 
 from repro.slices.validation import imbalance_ratio  # re-exported
@@ -74,8 +75,8 @@ def get_change_ratio(
             f"target ratio {target_ratio} is not bracketed by the current ratio "
             f"{start:.4f} and the full-allocation ratio {end:.4f}"
         )
-    from scipy import optimize  # on first use: start-up stays scipy-free
-
-    return float(
-        optimize.brentq(lambda x: ratio_at(x) - target_ratio, 0.0, 1.0, xtol=1e-10)
+    # The ratio is monotone in x on the bracket, so bisection finds where it
+    # reaches the target.
+    return bisect(
+        lambda x: np.sign(ratio_at(x) - target_ratio) != np.sign(low_value), 0.0, 1.0
     )

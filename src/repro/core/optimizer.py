@@ -7,31 +7,36 @@ examples to acquire per slice to minimize
   + lambda * sum_i  max(0, b_i (|s_i| + d_i)^{-a_i} / A - 1)
 
 subject to ``sum_i C(s_i) * d_i = B`` and ``d_i >= 0``, where ``A`` is the
-average predicted loss at the current sizes.  The problem is convex (a sum of
-power-law terms, a hinge of a convex function, and a linear constraint).
+average predicted loss at the current sizes.  With ``A`` fixed the problem
+is separable: each term ``f_i`` is convex and decreasing, and one budget
+constraint links them.
 
-Two solvers are provided:
+``solve_kkt`` solves it exactly by bisection on the budget multiplier ``mu``.
+For a fixed ``mu`` each slice's minimiser of ``f_i(d) + mu * C(s_i) * d`` has
+a closed form (above the kink ``L_i = A``, at it, or below it), clipped to
+``[0, B / C(s_i)]``; total spend is continuous and non-increasing in ``mu``,
+so bisection always lands on the budget.  A slice smaller than one example
+is the exception: the ``max(|s_i| + d_i, 1)`` clamp makes its term flat and
+then decreasing, which is not convex, so the solver tries it both without
+data and with at least enough to reach size 1, and keeps the better plan.
 
-* ``solve_slsqp`` — SciPy's SLSQP on the continuous relaxation (the "any
-  off-the-shelf convex optimization solver" of the paper).
-* ``solve_greedy`` — a marginal-gain-per-cost greedy allocator that is used
-  as a fallback when SLSQP fails and as an ablation baseline; for separable
-  convex objectives greedy chunk allocation approaches the optimum as the
-  chunk size shrinks.
-
-``optimize_allocation`` runs SLSQP, falls back to greedy if needed, and
-finally rounds the continuous solution to integer example counts that respect
-the budget.
+``optimize_allocation`` runs the solver and rounds the continuous solution to
+integer example counts that respect the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.problem import SelectiveAcquisitionProblem
-from repro.utils.exceptions import OptimizationError
+
+#: Bisection steps; the loop stops earlier, once the bracket is two adjacent
+#: floats (about 60 steps).
+_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,17 @@ class OptimizationResult:
     spent:
         Cost of the integer allocation.
     solver:
-        Which solver produced the continuous solution (``"slsqp"`` or
-        ``"greedy"``).
+        Which solver produced the continuous solution (``"kkt"``, or
+        ``"none"`` for a zero budget).
+    duality_gap:
+        Objective minus the Lagrangian dual value at the budget multiplier
+        ``mu``; an upper bound on the continuous objective's distance from
+        the optimum.
+    regimes:
+        Per slice, where its continuous allocation sits: ``"zero"`` (no
+        data), ``"above"`` (predicted loss still above ``A``), ``"kink"``
+        (exactly at ``A``), ``"below"`` (below ``A``) or ``"cap"`` (the
+        whole budget).
     """
 
     allocation: np.ndarray
@@ -59,6 +73,8 @@ class OptimizationResult:
     objective_value: float
     spent: float
     solver: str
+    duality_gap: float
+    regimes: tuple[str, ...]
 
     def as_dict(self, slice_names: tuple[str, ...]) -> dict[str, int]:
         """Return the integer allocation keyed by slice name."""
@@ -67,112 +83,108 @@ class OptimizationResult:
         }
 
 
+class KKTSolution(NamedTuple):
+    """A continuous allocation with its optimality certificate."""
+
+    allocation: np.ndarray
+    multiplier: float
+    duality_gap: float
+    regimes: tuple[str, ...]
+
+
 # ---------------------------------------------------------------------------
-# continuous solvers
+# the exact continuous solver
 # ---------------------------------------------------------------------------
 
-def _objective_and_gradient(
-    problem: SelectiveAcquisitionProblem, average_loss: float
-) -> tuple[callable, callable]:
-    """Build objective and (sub)gradient callables for the continuous problem."""
-    sizes, b, a, lam = problem.sizes, problem.b, problem.a, problem.lam
-
-    def objective(d: np.ndarray) -> float:
-        effective = np.maximum(sizes + d, 1.0)
-        losses = b * np.power(effective, -a)
-        penalty = np.maximum(0.0, losses / average_loss - 1.0)
-        return float(losses.sum() + lam * penalty.sum())
-
-    def gradient(d: np.ndarray) -> np.ndarray:
-        effective = np.maximum(sizes + d, 1.0)
-        losses = b * np.power(effective, -a)
-        dloss = -a * b * np.power(effective, -a - 1.0)
-        active = (losses / average_loss - 1.0) > 0.0
-        return dloss * (1.0 + lam * active.astype(np.float64) / average_loss)
-
-    return objective, gradient
+def bisect(crossed, low: float, high: float) -> float:
+    """The point in ``[low, high]`` where ``crossed`` turns true, to float
+    resolution; ``crossed`` must be monotone and true at ``high``."""
+    for _ in range(_MAX_BISECTIONS):
+        middle = 0.5 * (low + high)
+        if middle in (low, high):
+            break
+        low, high = (low, middle) if crossed(middle) else (middle, high)
+    return high
 
 
-def solve_slsqp(problem: SelectiveAcquisitionProblem) -> np.ndarray:
-    """Solve the continuous relaxation with SciPy's SLSQP.
-
-    Returns the continuous per-slice allocation; raises
-    :class:`~repro.utils.exceptions.OptimizationError` when the solver does
-    not converge to a feasible point.
-    """
-    n = problem.n_slices
+def _solve_convex(
+    problem: SelectiveAcquisitionProblem,
+    average_loss: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> KKTSolution:
+    """Minimise the objective with ``d_i`` in ``[lower_i, upper_i]`` and at most
+    the budget spent, where every term is convex on its interval."""
+    sizes, costs, a, b = problem.sizes, problem.costs, problem.a, problem.b
     budget = problem.budget
-    if budget <= 0:
-        return np.zeros(n)
-    average_loss = problem.average_current_loss()
-    objective, gradient = _objective_and_gradient(problem, average_loss)
+    active = upper > 0
+    if not active.any():
+        n = problem.n_slices
+        return KKTSolution(np.zeros(n), 0.0, 0.0, ("zero",) * n)
+    penalised = 1.0 + problem.lam / average_loss
+    with np.errstate(over="ignore"):
+        # A flat curve (tiny a) whose loss is above A never reaches it: its
+        # kink size overflows to inf, which the minimiser handles as such.
+        kink = np.power(b / average_loss, 1.0 / a)
+    power = 1.0 / (a + 1.0)
 
-    costs = problem.costs
-    # Start from the budget spread uniformly over slices (cost-weighted).
-    start = np.full(n, budget / costs.sum())
+    def minimiser(log_mu: float) -> tuple[np.ndarray, np.ndarray]:
+        base = a * b / (np.exp(log_mu) * costs)
+        below = np.power(base, power)
+        above = np.power(base * penalised, power)
+        size = np.minimum(above, np.maximum(below, kink))
+        return size, np.clip(size - sizes, lower, upper)
 
-    constraints = [
-        {
-            "type": "eq",
-            "fun": lambda d: np.dot(costs, d) - budget,
-            "jac": lambda d: costs,
-        }
-    ]
-    bounds = [(0.0, budget / c) for c in costs]
-    from scipy import optimize  # on first use: start-up stays scipy-free
-
-    result = optimize.minimize(
-        objective,
-        start,
-        jac=gradient,
-        bounds=bounds,
-        constraints=constraints,
-        method="SLSQP",
-        options={"maxiter": 300, "ftol": 1e-9},
+    # Above the steepest slope at the lower bounds every slice stays there;
+    # below the flattest slope at ``upper = B / C(s_i)`` that slice takes the
+    # whole budget.  A factor e either side guards the bracket against rounding.
+    slope_low = a * b * np.power(np.maximum(sizes + upper, 1.0), -a - 1.0) / costs
+    slope_high = penalised * a * b * np.power(np.maximum(sizes + lower, 1.0), -a - 1.0) / costs
+    log_mu = bisect(
+        lambda log_mu: float(np.dot(costs, minimiser(log_mu)[1])) <= budget,
+        float(np.log(slope_low[active].min())) - 1.0,
+        float(np.log(slope_high[active].max())) + 1.0,
     )
-    if not result.success:
-        raise OptimizationError(f"SLSQP failed: {result.message}")
-    allocation = np.clip(result.x, 0.0, None)
-    spent = float(np.dot(costs, allocation))
-    if spent > 0:
-        allocation *= budget / spent  # repair small constraint violations
-    return allocation
+    size, allocation = minimiser(log_mu)
+    mu = float(np.exp(log_mu))
+    regimes = np.select(
+        [allocation <= 0.0, allocation >= upper, size < kink, size > kink],
+        ["zero", "cap", "above", "below"],
+        "kink",
+    )
+    # ``allocation`` minimises the Lagrangian at ``mu`` exactly, so the gap
+    # between its objective and the dual value is the unspent budget's price.
+    gap = mu * (budget - float(np.dot(costs, allocation)))
+    return KKTSolution(allocation, mu, gap, tuple(str(r) for r in regimes))
 
 
-def solve_greedy(
-    problem: SelectiveAcquisitionProblem, n_chunks: int = 200
-) -> np.ndarray:
-    """Greedy chunk allocation by marginal objective improvement per cost.
+def solve_kkt(problem: SelectiveAcquisitionProblem) -> KKTSolution:
+    """Solve the continuous relaxation exactly; see the module docstring.
 
-    The budget is split into ``n_chunks`` equal chunks; each chunk goes to the
-    slice whose predicted objective decrease per unit cost is largest given
-    the allocation so far.  Used as a fallback solver and as an ablation
-    baseline ("greedy" in the benchmarks).
+    A slice with fewer than one example either gets no data or at least
+    enough to reach size 1; every combination of those choices is a convex
+    problem, and the best of them is returned.  That is ``2**k`` solves for
+    ``k`` empty slices; tuning runs rarely have any, so one solve is usual.
     """
     n = problem.n_slices
-    budget = problem.budget
-    if budget <= 0:
-        return np.zeros(n)
+    if problem.budget <= 0:
+        return KKTSolution(np.zeros(n), 0.0, 0.0, ("zero",) * n)
     average_loss = problem.average_current_loss()
-    objective, _ = _objective_and_gradient(problem, average_loss)
-
-    chunk = budget / n_chunks
-    allocation = np.zeros(n)
-    remaining = budget
-    while remaining > 1e-9:
-        spend = min(chunk, remaining)
-        best_gain, best_index = -np.inf, -1
-        current_value = objective(allocation)
-        for i in range(n):
-            extra = spend / problem.costs[i]
-            trial = allocation.copy()
-            trial[i] += extra
-            gain = (current_value - objective(trial)) / spend
-            if gain > best_gain:
-                best_gain, best_index = gain, i
-        allocation[best_index] += spend / problem.costs[best_index]
-        remaining -= spend
-    return allocation
+    entry = np.maximum(1.0 - problem.sizes, 0.0)
+    full = problem.budget / problem.costs
+    small = np.flatnonzero(entry > 0)
+    best, best_value = None, np.inf
+    for funded in product((False, True), repeat=small.size):
+        lower, upper = np.zeros(n), full.copy()
+        lower[small] = np.where(funded, entry[small], 0.0)
+        upper[small] = np.where(funded, full[small], 0.0)
+        if np.dot(problem.costs, lower) > problem.budget:
+            continue
+        solution = _solve_convex(problem, average_loss, lower, upper)
+        value = problem.objective(solution.allocation)
+        if value < best_value:
+            best, best_value = solution, value
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +214,18 @@ def round_allocation(
                 allocation[i] -= 1
                 spent -= costs[i]
 
-    average_loss = problem.average_current_loss()
-    objective, _ = _objective_and_gradient(problem, average_loss)
     remaining = problem.budget - spent
     # Assign leftover budget example-by-example by best marginal gain/cost.
     while True:
         affordable = np.nonzero(costs <= remaining + 1e-9)[0]
         if affordable.size == 0:
             break
-        current_value = objective(allocation.astype(np.float64))
+        current_value = problem.objective(allocation.astype(np.float64))
         gains = np.empty(affordable.size)
         for j, i in enumerate(affordable):
             trial = allocation.astype(np.float64)
             trial[i] += 1.0
-            gains[j] = (current_value - objective(trial)) / costs[i]
+            gains[j] = (current_value - problem.objective(trial)) / costs[i]
         best = affordable[int(np.argmax(gains))]
         allocation[best] += 1
         remaining -= costs[best]
@@ -229,30 +239,18 @@ def round_allocation(
 def optimize_allocation(problem: SelectiveAcquisitionProblem) -> OptimizationResult:
     """Solve the selective data acquisition problem.
 
-    Runs SLSQP on the continuous relaxation, falls back to the greedy solver
-    if SLSQP fails, and rounds the result to an integer allocation that
-    respects the budget.
+    Solves the continuous relaxation exactly with :func:`solve_kkt` and
+    rounds the result to an integer allocation that respects the budget.
     """
-    if problem.budget <= 0:
-        zeros = np.zeros(problem.n_slices)
-        return OptimizationResult(
-            allocation=zeros.astype(np.int64),
-            continuous_allocation=zeros,
-            objective_value=problem.objective(zeros),
-            spent=0.0,
-            solver="none",
-        )
-    solver = "slsqp"
-    try:
-        continuous = solve_slsqp(problem)
-    except OptimizationError:
-        continuous = solve_greedy(problem)
-        solver = "greedy"
+    solution = solve_kkt(problem)
+    continuous = solution.allocation
     allocation = round_allocation(problem, continuous)
     return OptimizationResult(
         allocation=allocation,
         continuous_allocation=continuous,
         objective_value=problem.objective(continuous),
         spent=float(np.dot(problem.costs, allocation)),
-        solver=solver,
+        solver="kkt" if problem.budget > 0 else "none",
+        duality_gap=solution.duality_gap,
+        regimes=solution.regimes,
     )

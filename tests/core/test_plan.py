@@ -18,11 +18,11 @@ class TestAcquisitionPlan:
 
     def test_to_text_lists_slices(self):
         plan = AcquisitionPlan(
-            counts={"a": 10, "b": 5}, expected_cost=17.5, solver="oneshot/slsqp"
+            counts={"a": 10, "b": 5}, expected_cost=17.5, solver="oneshot/kkt"
         )
         text = plan.to_text()
         assert "a" in text and "b" in text
-        assert "oneshot/slsqp" in text
+        assert "oneshot/kkt" in text
         assert "15" in text  # total examples
 
 

@@ -3,8 +3,9 @@
 Every check runs in a fresh interpreter, because this test process has long
 since imported numpy, scipy and every ``repro`` module.  The package
 ``__init__`` modules resolve their public names on first access (PEP 562),
-scipy is imported only by the functions that call it, and each CLI handler
-imports its own subsystem; these tests pin all three down.
+scipy is imported only by the two curve fits of the curve-family ablation,
+and each CLI handler imports its own subsystem; these tests pin all three
+down.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class TestImportBudget:
         assert code == 2
         assert "numpy" not in loaded
 
-    def test_run_still_works_and_loads_scipy_on_use(self):
+    def test_run_still_works_and_loads_no_scipy(self):
         code, loaded, out = cli(
             "run", "--json", "--quiet", "--dataset", "adult_like",
             "--initial-size", "40", "--validation-size", "40", "--epochs", "5",
@@ -144,7 +145,14 @@ class TestImportBudget:
         payload = json.loads(out)
         assert payload["schema"] == "repro.run/1"
         assert payload["trainings_performed"] > 0
-        assert "scipy" in loaded
+        assert "scipy" not in loaded
+
+    def test_campaign_suite_loads_no_scipy(self):
+        loaded = loaded_by(
+            "from repro.experiments.runner import campaign_suite\n"
+            "assert len(campaign_suite(seed=0)) == 3"
+        )
+        assert "scipy" not in loaded
 
 
 class TestLazyPublicApi:
