@@ -26,6 +26,7 @@ After which ``tuner.run(budget, method="greedy_worst")`` and
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable
 
 from repro.core.strategy_api import AcquisitionStrategy
@@ -38,6 +39,7 @@ _REGISTRY: dict[str, StrategyFactory] = {}
 _PRIMARY: dict[str, str] = {}  # registry key -> primary name
 _DESCRIPTIONS: dict[str, str] = {}  # primary name -> one-line description
 _BUILTINS_LOADED = False
+_BUILTINS_LOCK = threading.RLock()
 
 
 def _normalize(name: str) -> str:
@@ -99,16 +101,24 @@ def unregister_strategy(name: str) -> None:
 
 
 def _ensure_builtins() -> None:
-    """Import the modules whose import side effects register the built-ins."""
+    """Import the modules whose import side effects register the built-ins.
+
+    The flag is set under a lock and only after the imports finish, so a
+    concurrent first lookup waits for a full registry instead of seeing
+    an empty one.
+    """
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return
-    _BUILTINS_LOADED = True
-    # Imported lazily so the registry module itself stays cycle-free.
-    import repro.bandit.rotting  # noqa: F401
-    import repro.core.baselines  # noqa: F401
-    import repro.core.iterative  # noqa: F401
-    import repro.core.oneshot  # noqa: F401
+    with _BUILTINS_LOCK:
+        if not _BUILTINS_LOADED:
+            # Imported lazily so the registry module itself stays cycle-free.
+            import repro.bandit.rotting  # noqa: F401
+            import repro.core.baselines  # noqa: F401
+            import repro.core.iterative  # noqa: F401
+            import repro.core.oneshot  # noqa: F401
+
+            _BUILTINS_LOADED = True
 
 
 def get_strategy(name: str, **kwargs) -> AcquisitionStrategy:

@@ -29,6 +29,15 @@ wave to an :class:`~repro.engine.executor.Executor`.  Consequences:
 * with ``incremental=True`` the estimator keeps a
   :class:`~repro.engine.cache.CurveCache` and only re-measures slices whose
   training pools changed since the previous estimate.
+
+A job's training data is a :class:`~repro.ml.data.RowView`: one shared
+combined copy of the slice pools (built once per data version, and the same
+copy :meth:`SliceTuner.evaluate <repro.core.tuner.SliceTuner.evaluate>`
+trains on) plus the job's int64 row index, from
+:meth:`~repro.slices.sliced_dataset.SlicedDataset.subset_train`.  A wave of
+``K`` amortized or ``|S| * K`` exhaustive jobs therefore holds one copy of
+the data, not one per job; the training loops gather each batch straight
+from the shared copy, and fingerprints hash the same bytes as a copy would.
 """
 
 from __future__ import annotations

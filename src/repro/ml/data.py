@@ -4,6 +4,16 @@ A :class:`Dataset` is an immutable pair of a 2-D float feature matrix and a
 1-D integer label vector.  All higher layers (slicing, acquisition, curve
 estimation) manipulate datasets through the small set of operations here:
 subsetting, sampling, concatenation, and train/validation splitting.
+
+A :class:`RowView` is a dataset by reference: a shared ``pool`` plus an
+int64 ``rows`` index into it.  Learning-curve jobs train on views of one
+combined copy of the slice pools
+(:meth:`~repro.slices.sliced_dataset.SlicedDataset.subset_train`), so a
+wave of jobs costs one copy of the data plus 8 bytes per selected row, not
+one copy per job.  The training loops gather each batch straight from the
+pool through :meth:`Dataset.locate`; any other reader of ``features`` or
+``labels`` gets the selected rows gathered afresh on each access, so every
+caller works with either kind of dataset.
 """
 
 from __future__ import annotations
@@ -78,6 +88,15 @@ class Dataset:
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[indices], self.labels[indices])
 
+    def locate(self, positions: slice | np.ndarray) -> tuple["Dataset", np.ndarray]:
+        """Where this dataset's rows ``positions`` are stored.
+
+        Returns ``(source, index)`` such that ``source.features[index]`` and
+        ``source.labels[index]`` are those rows: the dataset itself for a
+        plain dataset, the shared pool for a :class:`RowView`.
+        """
+        return self, positions
+
     def sample(self, size: int, random_state: RandomState = None) -> "Dataset":
         """Return a uniform random subset (without replacement) of ``size`` rows.
 
@@ -122,6 +141,48 @@ class Dataset:
         features = np.concatenate([d.features for d in datasets], axis=0)
         labels = np.concatenate([d.labels for d in datasets], axis=0)
         return Dataset(features, labels)
+
+
+class RowView(Dataset):
+    """Rows ``rows`` of a shared ``pool``, gathered on demand.
+
+    ``features`` and ``labels`` gather the selected rows afresh on every
+    access; hot loops gather only what they need through :meth:`locate`.
+    Subsetting a view gives a view of the same pool, never a copy.  A view
+    pickles as a plain :class:`Dataset` of its rows, so a job crosses a
+    process boundary as a job built on a copy would.
+    """
+
+    pool: Dataset
+    rows: np.ndarray
+
+    def __init__(self, pool: Dataset, rows: np.ndarray) -> None:
+        object.__setattr__(self, "pool", pool)
+        object.__setattr__(self, "rows", np.asarray(rows, dtype=np.int64))
+
+    @property  # type: ignore[override]
+    def features(self) -> np.ndarray:
+        return self.pool.features[self.rows]
+
+    @property  # type: ignore[override]
+    def labels(self) -> np.ndarray:
+        return self.pool.labels[self.rows]
+
+    def __len__(self) -> int:
+        return int(self.rows.shape[0])
+
+    @property
+    def n_features(self) -> int:
+        return self.pool.n_features
+
+    def subset(self, indices: Sequence[int] | np.ndarray) -> "RowView":
+        return RowView(self.pool, self.rows[np.asarray(indices, dtype=np.int64)])
+
+    def locate(self, positions: slice | np.ndarray) -> tuple[Dataset, np.ndarray]:
+        return self.pool, self.rows[positions]
+
+    def __reduce__(self):  # type: ignore[override]
+        return Dataset, (self.features, self.labels)
 
 
 def train_validation_split(

@@ -231,10 +231,8 @@ class Trainer:
         order = self._rng.permutation(n)
         batch_size = min(self.config.batch_size, n)
         for start in range(0, n, batch_size):
-            batch_idx = order[start : start + batch_size]
-            features = train.features[batch_idx]
-            labels = train.labels[batch_idx]
-            grads = model.gradients(features, labels)
+            source, rows = train.locate(order[start : start + batch_size])
+            grads = model.gradients(source.features[rows], source.labels[rows])
             optimizer.update(model.parameters(), grads)
 
 
@@ -258,8 +256,10 @@ def fit_lockstep(
     has one, as a single stacked update; models are sorted by full-step
     count, so those are a prefix and slicing it gives views.  A ragged step
     runs alone, between the model's last full step of the epoch and its
-    first of the next.  Batches are gathered from each model's own arrays
-    a window of steps at a time, never as a stacked copy of the data.
+    first of the next.  Batches are gathered a window of steps at a time,
+    never as a stacked copy of the data, through each dataset's
+    :meth:`~repro.ml.data.Dataset.locate`: a :class:`~repro.ml.data.RowView`
+    is read straight from its shared pool.
     """
     if config.early_stopping_patience:
         raise ConfigurationError("lock-step training does not early-stop")
@@ -327,12 +327,13 @@ def fit_lockstep(
     active, start = len(models), 0
     for step in range(last[0] + 1):
         for i, epoch in epoch_ends.pop(step, ()):
-            rows = shuffle(i, epoch)[full[i] * batch :]
+            source, rows = datasets[i].locate(shuffle(i, epoch)[full[i] * batch :])
             del shuffles[i][epoch]
             if rows.size:
-                data = datasets[i]
                 step_models(
-                    slice(i, i + 1), data.features[rows][None], data.labels[rows][None]
+                    slice(i, i + 1),
+                    source.features[rows][None],
+                    source.labels[rows][None],
                 )
         if step == last[0]:
             break
@@ -342,11 +343,11 @@ def fit_lockstep(
             start = step
             for i in range(active):
                 stop = min(step + window, last[i])
-                rows = full_batches(i, step, stop)
+                source, rows = datasets[i].locate(full_batches(i, step, stop))
                 out = features[i, : stop - step].reshape(-1, width)
-                np.take(datasets[i].features, rows, axis=0, out=out, mode="clip")
+                np.take(source.features, rows, axis=0, out=out, mode="clip")
                 out = labels[i, : stop - step].reshape(-1)
-                np.take(datasets[i].labels, rows, out=out, mode="clip")
+                np.take(source.labels, rows, out=out, mode="clip")
         at = step - start
         step_models(slice(0, active), features[:active, at], labels[:active, at])
 

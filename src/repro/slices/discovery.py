@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
@@ -347,6 +348,7 @@ _REGISTRY: dict[str, DiscoveryFactory] = {}
 _PRIMARY: dict[str, str] = {}
 _DESCRIPTIONS: dict[str, str] = {}
 _BUILTINS_LOADED = False
+_BUILTINS_LOCK = threading.RLock()
 
 
 def _normalize(name: str) -> str:
@@ -407,12 +409,18 @@ def unregister_discovery_method(name: str) -> None:
 
 
 def _ensure_builtins() -> None:
-    """Import the built-in method modules exactly once (registration side)."""
+    """Import the built-in method modules exactly once (registration side).
+
+    Set under a lock after the imports, as in :mod:`repro.core.registry`.
+    """
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return
-    _BUILTINS_LOADED = True
-    from repro.slices.methods import auto, kmeans, stump  # noqa: F401
+    with _BUILTINS_LOCK:
+        if not _BUILTINS_LOADED:
+            from repro.slices.methods import auto, kmeans, stump  # noqa: F401
+
+            _BUILTINS_LOADED = True
 
 
 def get_discovery_method(name: str, **kwargs) -> SliceDiscoveryMethod:

@@ -5,6 +5,11 @@ named slices with their training data, validation data, and acquisition
 costs.  It offers the combined views needed for model training (union of all
 train data), the per-slice views needed for evaluation, and mutation through
 ``add_examples`` as acquisition proceeds.
+
+Training data is handed out by reference: :meth:`SlicedDataset.combined_train`
+builds one combined copy of the slice pools per data version, and
+:meth:`SlicedDataset.subset_train` returns a :class:`~repro.ml.data.RowView`
+of that copy, so a wave of curve jobs shares one copy of the data.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.ml.data import Dataset
+from repro.ml.data import Dataset, RowView
 from repro.slices.slice import Slice, SliceSpec
 from repro.utils.exceptions import ConfigurationError, SlicingError
 from repro.utils.rng import RandomState, as_generator
@@ -50,6 +55,15 @@ class SlicedDataset:
         self._slices: dict[str, Slice] = {s.name: s for s in slices}
         self._order: list[str] = names
         self.n_classes = int(n_classes)
+
+    #: (the slice trains it was built from, combined copy, slice offsets).
+    _combined: tuple[tuple[Dataset, ...], Dataset, list[int]] | None = None
+
+    def __getstate__(self) -> dict:
+        # The combined copy is a cache: snapshots never carry it.
+        state = dict(self.__dict__)
+        state.pop("_combined", None)
+        return state
 
     # -- construction helpers -------------------------------------------------
     @classmethod
@@ -119,12 +133,34 @@ class SlicedDataset:
         )
 
     # -- combined views ----------------------------------------------------------
+    def _combined_pool(self) -> tuple[Dataset, list[int]]:
+        """The current data version's combined copy and each slice's offset.
+
+        A version is the tuple of slice train datasets (immutable, compared
+        by identity), so the copy is rebuilt exactly when a pool changed,
+        however the slice was mutated.
+        """
+        trains = tuple(self._slices[name].train for name in self._order)
+        cached = self._combined
+        if cached is None or any(a is not b for a, b in zip(cached[0], trains)):
+            non_empty = [train for train in trains if len(train) > 0]
+            pool = (
+                Dataset.concatenate(non_empty)
+                if non_empty
+                else Dataset.empty(self.n_features)
+            )
+            offsets = np.cumsum([0, *(len(train) for train in trains)]).tolist()
+            cached = self._combined = (trains, pool, offsets)
+        return cached[1], cached[2]
+
     def combined_train(self) -> Dataset:
-        """Union of all slices' training data."""
-        non_empty = [s.train for s in self if len(s.train) > 0]
-        if not non_empty:
-            return Dataset.empty(self.n_features)
-        return Dataset.concatenate(non_empty)
+        """Union of all slices' training data.
+
+        One shared copy per data version: repeated calls between two
+        changes of the slice pools return the same object.  Treat it as
+        read-only.
+        """
+        return self._combined_pool()[0]
 
     def combined_validation(self) -> Dataset:
         """Union of all slices' validation data."""
@@ -151,6 +187,10 @@ class SlicedDataset:
 
         This implements the paper's efficient (amortized) learning-curve
         protocol: take X% subsets of *all* slices and train a single model.
+        The result is a :class:`~repro.ml.data.RowView` of
+        :meth:`combined_train`: each slice's sampled rows in slice order,
+        with the draws of :meth:`~repro.ml.data.Dataset.sample` (a full
+        slice draws nothing).
 
         Parameters
         ----------
@@ -167,24 +207,25 @@ class SlicedDataset:
                 "exactly one of fraction or sizes must be provided"
             )
         rng = as_generator(random_state)
+        pool, offsets = self._combined_pool()
         parts = []
-        for name in self._order:
-            slice_ = self._slices[name]
+        for name, start, stop in zip(self._order, offsets, offsets[1:]):
             if fraction is not None:
-                target = int(round(len(slice_.train) * float(fraction)))
+                target = int(round((stop - start) * float(fraction)))
             else:
-                target = int(sizes.get(name, len(slice_.train)))
-            sample = slice_.train.sample(target, random_state=rng)
-            if len(sample) > 0:
-                parts.append(sample)
-        if not parts:
-            return Dataset.empty(self.n_features)
-        return Dataset.concatenate(parts)
+                target = int(sizes.get(name, stop - start))
+            own = RowView(pool, np.arange(start, stop))
+            parts.append(own.sample(target, random_state=rng).rows)
+        return RowView(pool, np.concatenate(parts))
 
     # -- mutation ------------------------------------------------------------------
     def add_examples(self, name: str, examples: Dataset) -> None:
-        """Append acquired ``examples`` to the named slice's training data."""
+        """Append acquired ``examples`` to the named slice's training data.
+
+        Starts a new data version: the old combined copy is dropped.
+        """
         self[name].add_examples(examples)
+        self._combined = None
 
     def copy(self) -> "SlicedDataset":
         """Deep-enough copy: slices are copied, underlying arrays are shared."""

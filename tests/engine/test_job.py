@@ -43,6 +43,20 @@ class TestFingerprints:
         changed = Dataset(dataset.features + 1e-9, dataset.labels)
         assert fingerprint_dataset(dataset) != fingerprint_dataset(changed)
 
+    def test_dataset_fingerprint_digests_are_pinned(self):
+        # Persisted cache rows are keyed by these digests: a change to the
+        # hashing must keep every existing key.
+        data = Dataset(
+            np.arange(2500 * 3, dtype=np.float64).reshape(2500, 3) / 7,
+            np.arange(2500) % 4,
+        )
+        assert fingerprint_dataset(data) == (
+            "25687dd40d0519f12bdc20f368dc5aa0f706f62df2f68d14e168e8cedd24bc96"
+        )
+        assert fingerprint_dataset(Dataset.empty(3)) == (
+            "f807224df588d29df551d1e979e678b0dd90b0895a3405b58d1cd3491746d910"
+        )
+
     def test_job_fingerprint_stable_across_instances(self, dataset):
         assert make_job(dataset).fingerprint == make_job(dataset).fingerprint
 

@@ -6,6 +6,12 @@ with random seeds, splits them into an arbitrary partition of lock-step
 groups and trains the groups in an arbitrary order.  Every weight and bias
 must be ``array_equal`` to what :class:`~repro.ml.train.Trainer` gives the
 same model alone, so how jobs are grouped is purely a scheduling choice.
+
+The same holds for how the data is held: a job training on a
+:class:`~repro.ml.data.RowView` of a shared, shuffled pool ends bitwise
+equal to one training on a materialized copy of its rows, in lock-step and
+through :class:`~repro.ml.train.Trainer` with a validation split and early
+stopping, and the two fingerprint alike.
 """
 
 from __future__ import annotations
@@ -14,8 +20,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.job import TrainingJob, plan_training_jobs, run_training_jobs
-from repro.ml.data import Dataset
+from repro.engine.job import (
+    TrainingJob,
+    fingerprint_dataset,
+    plan_training_jobs,
+    run_training_jobs,
+)
+from repro.ml.data import Dataset, RowView
 from repro.ml.linear import SoftmaxRegression
 from repro.ml.train import Trainer, TrainingConfig, fit_lockstep
 
@@ -69,6 +80,20 @@ def waves(draw):
         for label in draw(st.permutations(sorted(set(labels))))
     ]
     return config, n_classes, datasets, seeds, model_seeds, groups
+
+
+def _as_views(datasets, seed):
+    """Each dataset as a view of one shared pool holding all their rows.
+
+    The pool is the datasets' rows in a random order, so every view gathers
+    scattered rows; ``views[i]`` holds exactly ``datasets[i]``'s rows.
+    """
+    stacked = Dataset.concatenate(datasets)
+    order = np.random.default_rng(seed).permutation(len(stacked))
+    pool = stacked.subset(order)
+    where = np.argsort(order)
+    offsets = np.cumsum([0, *(len(data) for data in datasets)])
+    return [RowView(pool, where[a:b]) for a, b in zip(offsets, offsets[1:])]
 
 
 def _per_model(config, n_classes, datasets, seeds, model_seeds):
@@ -132,3 +157,85 @@ class TestLockstepIsBitwisePerModel:
                 assert np.array_equal(result.model.weights, alone.weights)
                 assert np.array_equal(result.model.bias, alone.bias)
                 assert result.training == training
+
+
+class TestRowViewsAreBitwiseCopies:
+    @settings(max_examples=40, deadline=None)
+    @given(waves(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_lockstep_on_views_matches_the_trainer_on_copies(self, wave, pool_seed):
+        config, n_classes, datasets, seeds, model_seeds, groups = wave
+        views = _as_views(datasets, pool_seed)
+        expected, trainings = _per_model(
+            config, n_classes, datasets, seeds, model_seeds
+        )
+        models = [
+            SoftmaxRegression(n_classes=n_classes, random_state=model_seed)
+            for model_seed in model_seeds
+        ]
+        for group in groups:
+            results = fit_lockstep(
+                [models[i] for i in group],
+                [views[i] for i in group],
+                [seeds[i] for i in group],
+                config,
+            )
+            assert results == [trainings[i] for i in group]
+        for view, data, lockstep, alone in zip(views, datasets, models, expected):
+            assert np.array_equal(view.features, data.features)
+            assert np.array_equal(lockstep.weights, alone.weights)
+            assert np.array_equal(lockstep.bias, alone.bias)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from((0.1, 0.25, 0.4)),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_trainer_with_early_stopping_on_a_view_matches_a_copy(
+        self, size, epochs, patience, fraction, restore_best, seed
+    ):
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.normal(size=(size, 5)), rng.integers(0, 3, size=size))
+        view = _as_views([data, data.take(7)], seed)[0]
+        config = TrainingConfig(
+            epochs=epochs,
+            batch_size=8,
+            early_stopping_patience=patience,
+            validation_fraction=fraction,
+            restore_best=restore_best,
+        )
+        fitted = []
+        for train in (data, view):
+            model = SoftmaxRegression(n_classes=3, random_state=1)
+            result = Trainer(config=config, random_state=seed).fit(model, train)
+            fitted.append((model, result))
+        (copy_model, copy_result), (view_model, view_result) = fitted
+        assert view_result == copy_result
+        assert np.array_equal(view_model.weights, copy_model.weights)
+        assert np.array_equal(view_model.bias, copy_model.bias)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_fingerprint_of_a_view_is_the_fingerprint_of_its_copy(
+        self, size, n_features, seed
+    ):
+        rng = np.random.default_rng(seed)
+        pool = Dataset(
+            rng.normal(size=(max(size, 1), n_features)),
+            rng.integers(0, 4, size=max(size, 1)),
+        )
+        view = RowView(pool, rng.integers(0, len(pool), size=size))
+        copy = Dataset(view.features, view.labels)
+        assert fingerprint_dataset(view) == fingerprint_dataset(copy)
+        job = dict(n_classes=4, seed=seed, factory_name="softmax")
+        assert (
+            TrainingJob(train=view, **job).fingerprint
+            == TrainingJob(train=copy, **job).fingerprint
+        )
