@@ -1,9 +1,8 @@
 """Named data-source providers: the registry and the source decorators.
 
-Mirrors :mod:`repro.core.registry` for the acquisition side: every way of
-obtaining examples — the unlimited generator, finite pools, the AMT-style
-crowdsourcing simulator, and any user-defined source — is registered here
-under one or more names.  :class:`~repro.acquisition.router.AcquisitionRouter`
+Every way of obtaining examples — the unlimited generator, finite pools,
+the AMT-style crowdsourcing simulator, and any user-defined source — is
+registered here under one or more names.  :class:`~repro.acquisition.router.AcquisitionRouter`
 and the :class:`~repro.acquisition.service.AcquisitionService` resolve
 provider names against this registry, and the CLI ``sources`` subcommand
 lists it.
@@ -30,7 +29,7 @@ Two decorators compose with any provider:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.acquisition.crowdsourcing import CrowdsourcingSimulator
 from repro.acquisition.source import (
@@ -40,73 +39,20 @@ from repro.acquisition.source import (
 )
 from repro.ml.data import Dataset
 from repro.utils.exceptions import AcquisitionError, ConfigurationError
+from repro.utils.registry import Registry
 from repro.utils.validation import check_non_negative
 
 #: A callable building a fresh data source (a class or a factory).
 SourceFactory = Callable[..., DataSource]
 
-_REGISTRY: dict[str, SourceFactory] = {}
-_PRIMARY: dict[str, str] = {}  # registry key -> primary name
-_DESCRIPTIONS: dict[str, str] = {}  # primary name -> one-line description
+#: Every registered provider; the built-ins are registered at the bottom.
+SOURCES: Registry[SourceFactory] = Registry("source")
 
-
-def _normalize(name: str) -> str:
-    return name.strip().lower()
-
-
-def register_source(
-    name: str,
-    *,
-    aliases: Iterable[str] = (),
-    description: str = "",
-    overwrite: bool = False,
-) -> Callable[[SourceFactory], SourceFactory]:
-    """Class/function decorator registering a data-source provider.
-
-    Parameters
-    ----------
-    name:
-        Primary registry key (case-insensitive).
-    aliases:
-        Additional keys resolving to the same factory.
-    description:
-        One-line summary shown by :func:`source_descriptions` and the CLI
-        ``sources`` subcommand; defaults to the factory's first docstring
-        line.
-    overwrite:
-        Allow replacing an existing registration (off by default so typos
-        don't silently shadow built-ins).
-    """
-    keys = [_normalize(name), *(_normalize(alias) for alias in aliases)]
-
-    def decorator(factory: SourceFactory) -> SourceFactory:
-        for key in keys:
-            if not overwrite and key in _REGISTRY:
-                raise ConfigurationError(
-                    f"source {key!r} is already registered; pass "
-                    f"overwrite=True to replace it"
-                )
-        doc = description
-        if not doc:
-            lines = (factory.__doc__ or "").strip().splitlines()
-            doc = lines[0] if lines else ""
-        for key in keys:
-            _REGISTRY[key] = factory
-            _PRIMARY[key] = keys[0]
-        _DESCRIPTIONS[keys[0]] = doc
-        return factory
-
-    return decorator
-
-
-def unregister_source(name: str) -> None:
-    """Remove a registration (primarily for tests tearing down fixtures)."""
-    key = _normalize(name)
-    primary = _PRIMARY.get(key)
-    for alias in [k for k, p in _PRIMARY.items() if p == primary]:
-        _REGISTRY.pop(alias, None)
-        _PRIMARY.pop(alias, None)
-    _DESCRIPTIONS.pop(primary, None)
+register_source = SOURCES.register
+unregister_source = SOURCES.unregister
+available_sources = SOURCES.names
+source_descriptions = SOURCES.descriptions
+is_source_registered = SOURCES.__contains__
 
 
 def get_source(name: str, **kwargs) -> DataSource:
@@ -116,35 +62,13 @@ def get_source(name: str, **kwargs) -> DataSource:
     ``get_source("generator", task=task, random_state=3)``.  Raises
     :class:`~repro.utils.exceptions.ConfigurationError` for unknown names.
     """
-    key = _normalize(name)
-    factory = _REGISTRY.get(key)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown source {name!r}; registered sources: "
-            f"{', '.join(available_sources())}"
-        )
-    source = factory(**kwargs)
+    source = SOURCES.build(name, **kwargs)
     if not isinstance(source, DataSource):
         raise ConfigurationError(
             f"factory for source {name!r} returned "
             f"{type(source).__name__}, which does not implement DataSource"
         )
     return source
-
-
-def available_sources() -> tuple[str, ...]:
-    """Sorted primary names of every registered provider."""
-    return tuple(sorted(set(_PRIMARY.values())))
-
-
-def source_descriptions() -> dict[str, str]:
-    """Mapping of primary provider name to its one-line description."""
-    return {name: _DESCRIPTIONS.get(name, "") for name in available_sources()}
-
-
-def is_source_registered(name: str) -> bool:
-    """Whether ``name`` resolves to a registered provider."""
-    return _normalize(name) in _REGISTRY
 
 
 # -- source decorators ----------------------------------------------------------

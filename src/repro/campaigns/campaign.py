@@ -47,7 +47,7 @@ from repro.campaigns.store import (
     replay_events,
 )
 from repro.core.plan import IterationRecord, TuningResult
-from repro.core.registry import available_strategies, is_registered
+from repro.core.registry import STRATEGIES
 from repro.fairness.report import FairnessReport
 from repro.monitor.health import CampaignMonitor
 from repro.telemetry import PERSISTED_SPAN_NAMES, get_tracer
@@ -83,8 +83,10 @@ class CampaignSpec:
         Instance construction, exactly as the experiment runner understands
         it (``source=None`` uses the scenario's own source kind).
     method / budget / lam / seed:
-        What to run: any registered strategy name, the acquisition budget,
-        the loss/unfairness weight, and the base random seed.
+        What to run: any registered strategy name (stored as its primary
+        name, so spellings of one strategy share a fingerprint), the
+        acquisition budget, the loss/unfairness weight, and the base
+        random seed.
     base_size / validation_size / epochs / curve_points / min_slice_size /
     acquisition_rounds / max_iterations:
         Instance and tuner knobs (mirroring
@@ -95,13 +97,13 @@ class CampaignSpec:
         crash/resume).
     discover / reslice_every:
         Dynamic-slices mode: a registered slice discovery method (see
-        :mod:`repro.slices.discovery`) re-run every ``reslice_every``
-        iterations, re-partitioning the data mid-campaign.  Each re-slice
-        is persisted as a durable ``reslice`` event whose payload carries
-        the content-fingerprinted boundaries, so replay and crash-resume
-        stay byte-identical.  ``discover=None`` defers to the scenario's
-        own defaults (e.g. ``dynamic_slices``); both fields are part of
-        the fingerprint.
+        :mod:`repro.slices.discovery`; stored as its primary name) re-run
+        every ``reslice_every`` iterations, re-partitioning the data
+        mid-campaign.  Each re-slice is persisted as a durable ``reslice``
+        event whose payload carries the content-fingerprinted boundaries,
+        so replay and crash-resume stay byte-identical.  ``discover=None``
+        defers to the scenario's own defaults (e.g. ``dynamic_slices``);
+        both fields are part of the fingerprint.
     priority:
         Scheduling lane for :class:`~repro.campaigns.scheduler.
         CampaignScheduler` — higher runs first.  Not part of the
@@ -148,11 +150,7 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a campaign needs a non-empty name")
-        if not is_registered(self.method):
-            raise ConfigurationError(
-                f"unknown strategy {self.method!r}; registered: "
-                f"{', '.join(available_strategies())}"
-            )
+        object.__setattr__(self, "method", STRATEGIES.primary(self.method))
         if self.budget < 0:
             raise ConfigurationError(f"budget must be >= 0, got {self.budget}")
         if self.checkpoint_every < 1:
@@ -160,16 +158,11 @@ class CampaignSpec:
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
             )
         if self.discover is not None:
-            from repro.slices.discovery import (
-                available_discovery_methods,
-                is_discovery_method,
-            )
+            from repro.slices.discovery import DISCOVERY_METHODS
 
-            if not is_discovery_method(self.discover):
-                raise ConfigurationError(
-                    f"unknown discovery method {self.discover!r}; registered: "
-                    f"{', '.join(available_discovery_methods())}"
-                )
+            object.__setattr__(
+                self, "discover", DISCOVERY_METHODS.primary(self.discover)
+            )
             if self.reslice_every < 1:
                 raise ConfigurationError(
                     "discover requires reslice_every >= 1, "

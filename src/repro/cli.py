@@ -141,6 +141,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.cache import ResultCache
     from repro.experiments.config import ExperimentConfig
     from repro.serve.client import TunerClient
+    from repro.utils.registry import Registry
 
 #: Default campaign store location for the ``campaign`` family of commands.
 DEFAULT_STORE = "campaigns.sqlite"
@@ -284,53 +285,40 @@ def _spec_fields(args: argparse.Namespace) -> dict:
     }
 
 
-def _registered_method(name: str) -> str:
-    """argparse type for ``--methods``: any registered strategy name."""
-    from repro.core.registry import available_strategies, is_registered
-
-    if not is_registered(name):
-        raise argparse.ArgumentTypeError(
-            f"unknown strategy {name!r}; run `python -m repro.cli strategies` "
-            f"to list registered strategies ({', '.join(available_strategies())})"
-        )
-    return name.strip().lower()
-
-
-def _registered_discovery(name: str) -> str:
-    """argparse type for ``--discover``: any registered discovery method."""
-    from repro.slices.discovery import available_discovery_methods, is_discovery_method
-
-    if not is_discovery_method(name):
-        raise argparse.ArgumentTypeError(
-            f"unknown discovery method {name!r}; run `python -m repro.cli "
-            f"discover --list` to enumerate them "
-            f"({', '.join(available_discovery_methods())})"
-        )
-    return name.strip().lower()
-
-
-def _one_of(kind: str, names: Callable[[], Sequence[str]]) -> Callable[[str], str]:
-    """argparse type accepting any ``kind`` name the registry ``names()`` lists.
+def _registered(table: Callable[[], "Registry"]) -> Callable[[str], str]:
+    """argparse type accepting any name ``table()`` knows, passed on as its
+    primary name; an unknown name fails with the registry's own error.
 
     argparse calls a ``type`` only for the subcommand actually parsed, so
     building the parser loads no registry (and, for most commands, no numpy).
     """
 
     def check(value: str) -> str:
-        valid = names()
-        if value not in valid:
-            raise argparse.ArgumentTypeError(
-                f"invalid {kind} {value!r} (choose from {', '.join(valid)})"
-            )
-        return value
+        try:
+            return table().primary(value)
+        except ConfigurationError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
 
     return check
 
 
-_dataset = _one_of("dataset", lambda: import_module("repro.datasets.registry").available_tasks())
-_scenario = _one_of("scenario", lambda: import_module("repro.experiments.scenarios").list_scenarios())
-_source = _one_of("source", lambda: import_module("repro.experiments.runner").SOURCE_KINDS)
-_executor = _one_of("executor", lambda: import_module("repro.engine.executor").available_executors())
+def _source_kinds() -> "Registry":
+    """``--source`` values: the runner's static source kinds as a registry."""
+    from repro.experiments.runner import SOURCE_KINDS
+    from repro.utils.registry import Registry
+
+    kinds = Registry("source kind")
+    for kind in SOURCE_KINDS:
+        kinds.add(kind, kind)
+    return kinds
+
+
+_dataset = _registered(lambda: import_module("repro.datasets.registry").TASKS)
+_scenario = _registered(lambda: import_module("repro.experiments.scenarios").SCENARIOS)
+_source = _registered(_source_kinds)
+_executor = _registered(lambda: import_module("repro.engine.executor").EXECUTORS)
+_method = _registered(lambda: import_module("repro.core.registry").STRATEGIES)
+_discovery = _registered(lambda: import_module("repro.slices.discovery").DISCOVERY_METHODS)
 
 
 def _flag(*names: str, **options) -> tuple:
@@ -369,7 +357,7 @@ BUDGET = (
 METHOD = _flag(
     "--method",
     default="moderate",
-    type=_registered_method,
+    type=_method,
     metavar="STRATEGY",
     help="registered strategy name to run (see the strategies subcommand)",
 )
@@ -384,7 +372,7 @@ DISCOVERY = (
     _flag(
         "--discover",
         default=None,
-        type=_registered_discovery,
+        type=_discovery,
         metavar="METHOD",
         help="re-run this registered slice-discovery method mid-run and "
         "swap onto the discovered slices (see the discover subcommand)",
@@ -1949,7 +1937,7 @@ LEAVES = (
             _flag(
                 "--method",
                 default="kmeans",
-                type=_registered_discovery,
+                type=_discovery,
                 metavar="METHOD",
                 help="registered discovery method to fit (default: kmeans)",
             ),
@@ -2004,7 +1992,7 @@ LEAVES = (
                 "--methods",
                 nargs="+",
                 default=["uniform", "water_filling", "moderate"],
-                type=_registered_method,
+                type=_method,
                 metavar="STRATEGY",
                 help="registered strategy names to compare (see the strategies subcommand)",
             ),

@@ -110,12 +110,9 @@ class SliceTunerConfig:
 
     def __post_init__(self) -> None:
         if self.discover is not None:
-            from repro.slices.discovery import is_discovery_method
+            from repro.slices.discovery import DISCOVERY_METHODS
 
-            if not is_discovery_method(self.discover):
-                raise ConfigurationError(
-                    f"unknown discovery method {self.discover!r}"
-                )
+            DISCOVERY_METHODS.primary(self.discover)  # raises for an unknown name
             if self.reslice_every < 1:
                 raise ConfigurationError(
                     "discover requires reslice_every >= 1, "

@@ -15,38 +15,17 @@ from repro.datasets.blueprints import SyntheticTask
 from repro.datasets.faces import faces_like_task
 from repro.datasets.fashion import fashion_like_task
 from repro.datasets.mixed import mixed_like_task
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
-_REGISTRY: dict[str, Callable[..., SyntheticTask]] = {
-    "fashion_like": fashion_like_task,
-    "mixed_like": mixed_like_task,
-    "faces_like": faces_like_task,
-    "adult_like": adult_like_task,
-}
+#: Every registered task builder.
+TASKS: Registry[Callable[..., SyntheticTask]] = Registry("task")
+TASKS.add("fashion_like", fashion_like_task)
+TASKS.add("mixed_like", mixed_like_task)
+TASKS.add("faces_like", faces_like_task)
+TASKS.add("adult_like", adult_like_task)
 
-
-def available_tasks() -> list[str]:
-    """Names of all registered synthetic tasks."""
-    return sorted(_REGISTRY)
-
-
-def register_task(name: str, builder: Callable[..., SyntheticTask]) -> None:
-    """Register a new task ``builder`` under ``name``.
-
-    Raises if the name is already taken, so accidental shadowing of the
-    built-in tasks is caught early.
-    """
-    if name in _REGISTRY:
-        raise ConfigurationError(f"task {name!r} is already registered")
-    _REGISTRY[name] = builder
-
-
-def build_task(name: str, **kwargs: object) -> SyntheticTask:
-    """Build the task registered under ``name``, passing ``kwargs`` through."""
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown task {name!r}; available: {available_tasks()}"
-        ) from None
-    return builder(**kwargs)
+#: ``register_task(name, builder)``; raises if the name is already taken.
+register_task = TASKS.add
+available_tasks = TASKS.names
+#: ``build_task(name, **kwargs)`` builds the task registered under ``name``.
+build_task = TASKS.build

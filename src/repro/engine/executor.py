@@ -59,6 +59,7 @@ from repro.telemetry import (
     set_tracer,
 )
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -390,24 +391,11 @@ class ProcessPoolExecutor(Executor):
             self._pool = None
 
 
-_EXECUTORS: dict[str, Callable[..., Executor]] = {
-    "serial": SerialExecutor,
-    "process": ProcessPoolExecutor,
-    "process_pool": ProcessPoolExecutor,
-}
+#: The executor backends, by name.
+EXECUTORS: Registry[Callable[..., Executor]] = Registry("executor")
+EXECUTORS.add("serial", SerialExecutor)
+EXECUTORS.add("process", ProcessPoolExecutor, aliases=("process_pool",))
 
-
-def available_executors() -> tuple[str, ...]:
-    """Primary names of the built-in executor backends."""
-    return ("serial", "process")
-
-
-def get_executor(name: str, **kwargs: Any) -> Executor:
-    """Build an executor backend by name (``"serial"`` or ``"process"``)."""
-    factory = _EXECUTORS.get(name.strip().lower())
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown executor {name!r}; available: "
-            f"{', '.join(available_executors())}"
-        )
-    return factory(**kwargs)
+available_executors = EXECUTORS.names
+#: ``get_executor(name, **kwargs)`` builds the backend registered under ``name``.
+get_executor = EXECUTORS.build

@@ -13,53 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
 #: A model factory maps the number of classes to a fresh, untrained model.
 ModelFactory = Callable[[int], object]
 
-_FACTORIES: dict[str, ModelFactory] = {}
+#: Every registered model factory; the built-ins are registered below.
+MODEL_FACTORIES: Registry[ModelFactory] = Registry("model factory")
 
-
-def _normalize(name: str) -> str:
-    return name.strip().lower()
-
-
-def register_model_factory(
-    name: str, *, aliases: Iterable[str] = (), overwrite: bool = False
-) -> Callable[[ModelFactory], ModelFactory]:
-    """Decorator registering a model factory under ``name`` (and aliases)."""
-    keys = [_normalize(name), *(_normalize(alias) for alias in aliases)]
-
-    def decorator(factory: ModelFactory) -> ModelFactory:
-        for key in keys:
-            if not overwrite and key in _FACTORIES:
-                raise ConfigurationError(
-                    f"model factory {key!r} is already registered; pass "
-                    f"overwrite=True to replace it"
-                )
-            _FACTORIES[key] = factory
-        return factory
-
-    return decorator
-
-
-def get_model_factory(name: str) -> ModelFactory:
-    """Look a registered factory up by name."""
-    factory = _FACTORIES.get(_normalize(name))
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown model factory {name!r}; registered: "
-            f"{', '.join(available_model_factories())}"
-        )
-    return factory
-
-
-def available_model_factories() -> tuple[str, ...]:
-    """Sorted names of every registered model factory."""
-    return tuple(sorted(_FACTORIES))
+register_model_factory = MODEL_FACTORIES.register
+get_model_factory = MODEL_FACTORIES.get
+available_model_factories = MODEL_FACTORIES.names
 
 
 def describe_factory(factory: ModelFactory | None) -> str:
@@ -74,9 +40,9 @@ def describe_factory(factory: ModelFactory | None) -> str:
     """
     if factory is None:
         return "<none>"
-    for name, registered in _FACTORIES.items():
-        if registered is factory:
-            return name
+    name = MODEL_FACTORIES.name_of(factory)
+    if name is not None:
+        return name
     if isinstance(factory, partial):
         return repr(factory)
     if hasattr(factory, "__qualname__"):

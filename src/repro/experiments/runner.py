@@ -34,7 +34,7 @@ from repro.acquisition.source import (
     GeneratorDataSource,
     PoolDataSource,
 )
-from repro.core.registry import available_strategies, is_registered
+from repro.core.registry import STRATEGIES
 from repro.core.tuner import SliceTuner, SliceTunerConfig
 from repro.curves.estimator import ModelFactory, default_model_factory
 from repro.datasets.registry import build_task
@@ -314,12 +314,9 @@ def compare_methods(
     methods = list(config.methods)
     if include_original and "original" not in methods:
         methods = ["original", *methods]
-    unknown = [m for m in methods if m != "original" and not is_registered(m)]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown methods {unknown}; registered strategies: "
-            f"{', '.join(available_strategies())}"
-        )
+    for method in methods:
+        if method != "original":
+            STRATEGIES.primary(method)  # raises for an unknown name
     executor = executor or SerialExecutor()
     grid = [
         (config, method, trial)

@@ -43,6 +43,7 @@ from typing import Callable
 
 from repro.datasets.blueprints import SyntheticTask, exponential_initial_sizes
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -145,33 +146,35 @@ def _small_slices(task: SyntheticTask, base_size: int) -> dict[str, int]:
     return {name: max(base_size // 6, 15) for name in task.slice_names}
 
 
-_SCENARIOS: dict[str, Scenario] = {
-    "basic": Scenario(
+#: Every scenario, by name.
+SCENARIOS: Registry[Scenario] = Registry("scenario")
+for _scenario in (
+    Scenario(
         name="basic",
         description="all slices start with the same amount of data",
         sizer=_equal_sizes,
     ),
-    "bad_for_uniform": Scenario(
+    Scenario(
         name="bad_for_uniform",
         description="most slices already have low loss; Uniform wastes budget",
         sizer=_bad_for_uniform,
     ),
-    "bad_for_water_filling": Scenario(
+    Scenario(
         name="bad_for_water_filling",
         description="a large hard slice and small easy slices; Water filling wastes budget",
         sizer=_bad_for_water_filling,
     ),
-    "exponential": Scenario(
+    Scenario(
         name="exponential",
         description="initial sizes follow an exponential distribution (Appendix C)",
         sizer=_exponential,
     ),
-    "small_slices": Scenario(
+    Scenario(
         name="small_slices",
         description="tiny slices with unreliable learning curves (Section 6.3.4)",
         sizer=_small_slices,
     ),
-    "mixed_sources": Scenario(
+    Scenario(
         name="mixed_sources",
         description=(
             "equal initial sizes served by a draining pool with generator "
@@ -180,7 +183,7 @@ _SCENARIOS: dict[str, Scenario] = {
         sizer=_equal_sizes,
         source_kind="mixed",
     ),
-    "flaky_source": Scenario(
+    Scenario(
         name="flaky_source",
         description=(
             "equal initial sizes served by a throttled source that caps "
@@ -189,7 +192,7 @@ _SCENARIOS: dict[str, Scenario] = {
         sizer=_equal_sizes,
         source_kind="flaky",
     ),
-    "dynamic_slices": Scenario(
+    Scenario(
         name="dynamic_slices",
         description=(
             "exponential initial sizes with periodic error k-means "
@@ -199,7 +202,7 @@ _SCENARIOS: dict[str, Scenario] = {
         discover="kmeans",
         reslice_every=2,
     ),
-    "drifting_slices": Scenario(
+    Scenario(
         name="drifting_slices",
         description=(
             "skewed initial sizes with periodic error-stump re-slicing "
@@ -209,19 +212,8 @@ _SCENARIOS: dict[str, Scenario] = {
         discover="stump",
         reslice_every=2,
     ),
-}
+):
+    SCENARIOS.add(_scenario.name, _scenario, description=_scenario.description)
 
-
-def list_scenarios() -> list[str]:
-    """Names of all available scenarios."""
-    return sorted(_SCENARIOS)
-
-
-def build_scenario(name: str) -> Scenario:
-    """Return the scenario registered under ``name``."""
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; available: {list_scenarios()}"
-        ) from None
+list_scenarios = SCENARIOS.names
+build_scenario = SCENARIOS.get

@@ -23,9 +23,8 @@ Rules come in two scopes:
     campaign owns.  These shape live health verdicts only and are never
     persisted.
 
-The registry mirrors :mod:`repro.core.registry`: string-keyed,
-case-insensitive, overwrite-guarded, so operators can register their own
-rules next to the built-ins::
+Rules live in a :class:`~repro.utils.registry.Registry`, so operators can
+register their own next to the built-ins::
 
     from repro.monitor import AlertRule, register_rule
 
@@ -49,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
 __all__ = [
     "COMPONENTS",
@@ -184,78 +184,45 @@ class AlertRule:
         }
 
 
-_RULES: dict[str, AlertRule] = {}
+#: Every registered rule; the built-ins are registered below.
+RULES: Registry[AlertRule] = Registry("alert rule")
 
-
-def _normalize(name: str) -> str:
-    return name.strip().lower()
+unregister_rule = RULES.unregister
+get_rule = RULES.get
+is_rule = RULES.__contains__
+available_rules = RULES.names
+rule_descriptions = RULES.descriptions
 
 
 def register_rule(rule: AlertRule, *, overwrite: bool = False) -> AlertRule:
     """Register ``rule`` under its (case-insensitive) name.
 
-    Raises :class:`~repro.utils.exceptions.ConfigurationError` when the
-    name is taken and ``overwrite`` is false, so typos don't silently
-    shadow built-ins.
+    The stored rule carries the normalised name.  Raises
+    :class:`~repro.utils.exceptions.ConfigurationError` when the name is
+    taken and ``overwrite`` is false, so typos don't silently shadow
+    built-ins.
     """
-    key = _normalize(rule.name)
-    if not key:
-        raise ConfigurationError("alert rule name must be non-empty")
-    if not overwrite and key in _RULES:
-        raise ConfigurationError(
-            f"alert rule {rule.name!r} is already registered; pass "
-            f"overwrite=True to replace it"
-        )
-    if rule.name != key:
-        rule = replace(rule, name=key)
-    _RULES[key] = rule
-    return rule
-
-
-def unregister_rule(name: str) -> None:
-    """Remove a registration (primarily for tests tearing down fixtures)."""
-    _RULES.pop(_normalize(name), None)
-
-
-def get_rule(name: str) -> AlertRule:
-    """The rule registered under ``name``; raises on unknown names."""
-    rule = _RULES.get(_normalize(name))
-    if rule is None:
-        raise ConfigurationError(
-            f"unknown alert rule {name!r}; registered rules: "
-            f"{', '.join(available_rules())}"
-        )
-    return rule
-
-
-def is_rule(name: str) -> bool:
-    """Whether ``name`` resolves to a registered rule."""
-    return _normalize(name) in _RULES
-
-
-def available_rules() -> tuple[str, ...]:
-    """Sorted names of every registered rule."""
-    return tuple(sorted(_RULES))
-
-
-def rule_descriptions() -> dict[str, str]:
-    """Mapping of rule name to its one-line description."""
-    return {name: _RULES[name].description for name in available_rules()}
+    name = Registry.key(rule.name)
+    if rule.name != name:
+        rule = replace(rule, name=name)
+    return RULES.add(
+        name, rule, description=rule.description, overwrite=overwrite
+    )
 
 
 def campaign_rules() -> tuple[AlertRule, ...]:
     """Campaign-scope rules in deterministic (sorted-name) order."""
     return tuple(
-        _RULES[name] for name in available_rules()
-        if _RULES[name].scope == "campaign"
+        rule for rule in map(get_rule, available_rules())
+        if rule.scope == "campaign"
     )
 
 
 def service_rules() -> tuple[AlertRule, ...]:
     """Service-scope rules in deterministic (sorted-name) order."""
     return tuple(
-        _RULES[name] for name in available_rules()
-        if _RULES[name].scope == "service"
+        rule for rule in map(get_rule, available_rules())
+        if rule.scope == "service"
     )
 
 

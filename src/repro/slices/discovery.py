@@ -4,8 +4,8 @@ Slice Tuner takes its slices as *given* and only sketches automatic slicing
 in Appendix A.  This module adds the missing layer: a pluggable
 :class:`SliceDiscoveryMethod` protocol (fit on a model's behaviour over a
 dataset, then transform the data into a fresh
-:class:`~repro.slices.sliced_dataset.SlicedDataset`) behind a registry that
-mirrors the acquisition-strategy registry in :mod:`repro.core.registry`.
+:class:`~repro.slices.sliced_dataset.SlicedDataset`) behind a
+:class:`~repro.utils.registry.Registry` of named methods.
 
 The lifecycle is::
 
@@ -24,7 +24,7 @@ crash-resume byte-identically: a resumed run re-discovers exactly the same
 boundaries the interrupted run did.
 
 Built-in methods live in :mod:`repro.slices.methods` and are registered
-lazily on first lookup, exactly like acquisition strategies:
+lazily on first lookup:
 
 * ``"stump"`` — error-driven feature-threshold rule induction (decision
   stumps over the misclassification indicator),
@@ -37,11 +37,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from repro.slices.sliced_dataset import SlicedDataset
 from repro.slices.validation import check_discovered_partition
 from repro.telemetry import get_registry, get_tracer
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
 __all__ = [
     "SliceDiscoveryMethod",
@@ -337,128 +337,34 @@ class SliceDiscoveryMethod(ABC):
         return hashlib.sha256(blob).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# The discovery-method registry (mirrors repro.core.registry).
-# ---------------------------------------------------------------------------
-
 #: A callable producing a discovery method; typically the class itself.
 DiscoveryFactory = Callable[..., SliceDiscoveryMethod]
 
-_REGISTRY: dict[str, DiscoveryFactory] = {}
-_PRIMARY: dict[str, str] = {}
-_DESCRIPTIONS: dict[str, str] = {}
-_BUILTINS_LOADED = False
-_BUILTINS_LOCK = threading.RLock()
+#: Every registered discovery method; the built-ins register themselves on
+#: import.
+DISCOVERY_METHODS: Registry[DiscoveryFactory] = Registry(
+    "discovery method",
+    builtins=(
+        "repro.slices.methods.auto",
+        "repro.slices.methods.kmeans",
+        "repro.slices.methods.stump",
+    ),
+)
 
-
-def _normalize(name: str) -> str:
-    return name.strip().lower()
-
-
-def register_discovery_method(
-    name: str,
-    *,
-    aliases: Sequence[str] = (),
-    description: str = "",
-    overwrite: bool = False,
-) -> Callable[[DiscoveryFactory], DiscoveryFactory]:
-    """Class/function decorator registering a discovery method.
-
-    Usage::
-
-        @register_discovery_method("kmeans", aliases=("error_kmeans",))
-        class ErrorKMeansDiscovery(SliceDiscoveryMethod):
-            ...
-    """
-
-    def decorator(factory: DiscoveryFactory) -> DiscoveryFactory:
-        primary = _normalize(name)
-        all_names = [primary] + [_normalize(alias) for alias in aliases]
-        for candidate in all_names:
-            if not candidate:
-                raise ConfigurationError("discovery method names must be non-empty")
-            if candidate in _REGISTRY and not overwrite:
-                raise ConfigurationError(
-                    f"discovery method {candidate!r} is already registered; "
-                    "pass overwrite=True to replace it"
-                )
-        doc = description
-        if not doc:
-            lines = (factory.__doc__ or "").strip().splitlines()
-            doc = lines[0] if lines else ""
-        for candidate in all_names:
-            _REGISTRY[candidate] = factory
-            _PRIMARY[candidate] = primary
-            _DESCRIPTIONS[candidate] = doc
-        return factory
-
-    return decorator
-
-
-def unregister_discovery_method(name: str) -> None:
-    """Remove a discovery method and every alias sharing its primary name."""
-    key = _normalize(name)
-    _ensure_builtins()
-    if key not in _REGISTRY:
-        raise ConfigurationError(f"unknown discovery method {name!r}")
-    primary = _PRIMARY[key]
-    for candidate in [c for c, p in _PRIMARY.items() if p == primary]:
-        _REGISTRY.pop(candidate, None)
-        _PRIMARY.pop(candidate, None)
-        _DESCRIPTIONS.pop(candidate, None)
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in method modules exactly once (registration side).
-
-    Set under a lock after the imports, as in :mod:`repro.core.registry`.
-    """
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    with _BUILTINS_LOCK:
-        if not _BUILTINS_LOADED:
-            from repro.slices.methods import auto, kmeans, stump  # noqa: F401
-
-            _BUILTINS_LOADED = True
+register_discovery_method = DISCOVERY_METHODS.register
+unregister_discovery_method = DISCOVERY_METHODS.unregister
+available_discovery_methods = DISCOVERY_METHODS.names
+discovery_method_descriptions = DISCOVERY_METHODS.descriptions
+is_discovery_method = DISCOVERY_METHODS.__contains__
 
 
 def get_discovery_method(name: str, **kwargs) -> SliceDiscoveryMethod:
     """Instantiate the named discovery method with ``**kwargs`` config."""
-    _ensure_builtins()
-    key = _normalize(name)
-    factory = _REGISTRY.get(key)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown discovery method {name!r}; "
-            f"available: {', '.join(available_discovery_methods())}"
-        )
-    method = factory(**kwargs)
+    method = DISCOVERY_METHODS.build(name, **kwargs)
     if not isinstance(method, SliceDiscoveryMethod):
         raise ConfigurationError(
             f"factory for {name!r} returned {type(method).__name__}, "
             "not a SliceDiscoveryMethod"
         )
-    method.name = _PRIMARY[key]
+    method.name = DISCOVERY_METHODS.primary(name)
     return method
-
-
-def available_discovery_methods() -> tuple[str, ...]:
-    """Sorted primary names of all registered discovery methods."""
-    _ensure_builtins()
-    return tuple(sorted(set(_PRIMARY.values())))
-
-
-def discovery_method_descriptions() -> dict[str, str]:
-    """Mapping of primary method name to its one-line description."""
-    _ensure_builtins()
-    return {
-        name: _DESCRIPTIONS.get(name, "")
-        for name in available_discovery_methods()
-    }
-
-
-def is_discovery_method(name: str) -> bool:
-    """True when ``name`` (or an alias) resolves to a registered method."""
-    _ensure_builtins()
-    return _normalize(name) in _REGISTRY

@@ -63,6 +63,25 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError):
             fast_spec(method="alchemy")
 
+    @pytest.mark.parametrize(
+        "method, discover",
+        [
+            ("water_filling", "kmeans"),
+            ("Water_Filling", "KMeans"),
+            ("  water_filling ", " kmeans"),
+            ("WATERFILLING", "error_kmeans"),
+        ],
+    )
+    def test_spellings_of_one_run_share_the_canonical_fingerprint(
+        self, method, discover
+    ):
+        spec = fast_spec(method=method, discover=discover, reslice_every=2)
+        assert (spec.method, spec.discover) == ("water_filling", "kmeans")
+        # The fingerprint a spec spelled with primary names has always had.
+        assert spec.fingerprint() == (
+            "babd1fa1e832fb8e47cc21d4cf9ed61f6b099c53fdfa348113d1d3782e1f7bd4"
+        )
+
     def test_invalid_checkpoint_cadence_rejected(self):
         with pytest.raises(ConfigurationError):
             fast_spec(checkpoint_every=0)

@@ -75,6 +75,13 @@ class TestSchedulingPolicy:
         with pytest.raises(CampaignError):
             scheduler.add(spec("solo-renamed", budget=100.0, method="uniform"))
 
+    def test_spellings_of_one_method_are_one_campaign(self):
+        scheduler = CampaignScheduler()
+        scheduler.add(spec("dup", budget=100.0, method="Moderate"))
+        with pytest.raises(CampaignError):
+            scheduler.add(spec("dup", budget=100.0, method=" moderate "))
+        assert len(scheduler.store.list_campaigns()) == 1
+
     def test_completed_campaigns_contribute_without_slots(self):
         store = InMemoryStore()
         done = Campaign.start(store, spec("done", method="uniform", budget=80.0))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.blueprints import SyntheticTask
-from repro.datasets.registry import available_tasks, build_task, register_task
+from repro.datasets.registry import TASKS, available_tasks, build_task, register_task
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -35,9 +35,7 @@ class TestRegistry:
             assert build_task("custom_tiny_for_test") is tiny_task
         finally:
             # Keep the registry clean for other tests.
-            from repro.datasets import registry
-
-            registry._REGISTRY.pop("custom_tiny_for_test", None)
+            TASKS.unregister("custom_tiny_for_test")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError):

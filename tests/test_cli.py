@@ -42,6 +42,19 @@ class TestParser:
         )
         assert args.methods == ["bandit", "water_filling", "moderate"]
 
+    def test_every_registry_option_passes_on_the_primary_name(self):
+        args = build_parser().parse_args(
+            [
+                "run", "--dataset", " Adult_Like", "--scenario", "BASIC",
+                "--executor", "process_pool", "--source", "Pool",
+                "--method", "waterfilling", "--discover", "error_kmeans",
+            ]
+        )
+        assert (
+            args.dataset, args.scenario, args.executor, args.source,
+            args.method, args.discover,
+        ) == ("adult_like", "basic", "process", "pool", "water_filling", "kmeans")
+
 
 class TestSubcommands:
     def test_curves_lists_every_slice(self, capsys):

@@ -1,9 +1,9 @@
-"""Concurrent first lookups in the strategy and discovery-method registries.
+"""Concurrent first lookups in every registry with lazily imported built-ins.
 
-Both registries fill themselves on first use by importing the built-in
+Such a registry fills itself on first use by importing the built-in
 modules.  Many threads making that first lookup at once must all see the
 full registry.  Each check runs in a fresh interpreter, because in this test
-process earlier tests have long since filled both registries.  CI also runs
+process earlier tests have long since filled every registry.  CI also runs
 this file on its own.
 """
 
@@ -13,11 +13,13 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import repro
+from tests.utils.test_registry import REGISTRIES
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -47,13 +49,23 @@ print(json.dumps(errors))
 """
 
 
-@pytest.mark.parametrize(
-    ("module", "lookup", "name"),
-    [
-        ("repro.core.registry", "get_strategy", "moderate"),
-        ("repro.slices.discovery", "get_discovery_method", "kmeans"),
-    ],
-)
+#: (module, public lookup, a built-in name) for every registry whose built-ins
+#: are imported on first lookup.
+LAZY = [
+    ("repro.core.registry", "get_strategy", "moderate"),
+    ("repro.slices.discovery", "get_discovery_method", "kmeans"),
+]
+
+
+def test_every_lazily_filled_registry_is_raced():
+    lazy = {
+        module for module, attribute, _ in REGISTRIES
+        if getattr(import_module(module), attribute).builtins
+    }
+    assert lazy == {module for module, _, _ in LAZY}
+
+
+@pytest.mark.parametrize(("module", "lookup", "name"), LAZY)
 def test_concurrent_first_lookup_sees_every_builtin(module, lookup, name):
     code = PROBE.format(module=module, lookup=lookup, name=name, threads=8)
     env = dict(os.environ, PYTHONPATH=str(SRC))
