@@ -1,11 +1,12 @@
 """Pure-Python reference implementations of every analytics view.
 
 Each function recomputes one view of :mod:`repro.analytics.views` directly
-from :func:`repro.campaigns.store.replay_events` over the live store —
-no SQL involved — and :func:`assert_consistent` compares the two
-row-for-row.  This is the correctness tool of the analytics subsystem
-(exposed as ``cli report --verify`` and run in tests): the SQL is the
-fast production path, the Python is the executable specification.
+from every campaign's :class:`~repro.campaigns.store.CampaignLog` (its
+replayed log, read once and shared by all ten views) — no SQL involved —
+and :func:`assert_consistent` compares the two row-for-row.  This is the
+correctness tool of the analytics subsystem (exposed as
+``cli report --verify`` and run in tests): the SQL is the fast production
+path, the Python is the executable specification.
 
 Exactness: comparisons use ``==`` on every cell, including floats.  That
 works because both sides parse the same JSON payload text (SQLite's JSON1
@@ -22,7 +23,7 @@ import json
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.analytics.views import VIEW_DEFINITIONS
-from repro.campaigns.store import CampaignEvent, CampaignStore, replay_events
+from repro.campaigns.store import CampaignLog, CampaignStore, campaign_logs
 from repro.utils.exceptions import AnalyticsError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,37 +32,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["reference_rows", "assert_consistent"]
 
 
-def _replayed(store: CampaignStore, campaign_id: str) -> list[CampaignEvent]:
-    return replay_events(store.events(campaign_id))
-
-
-def _iteration_events(events: list[CampaignEvent]) -> list[CampaignEvent]:
-    return sorted(
-        (e for e in events if e.kind == "iteration"), key=lambda e: e.iteration
-    )
-
-
-def _final_spent(events: list[CampaignEvent]) -> float:
-    spent = None
-    for event in _iteration_events(events):
-        value = event.payload["spent"]
-        spent = value if spent is None else spent + value
-    return 0.0 if spent is None else spent
-
-
-def _ref_slice_trajectories(store: CampaignStore) -> list[tuple]:
+def _ref_slice_trajectories(logs: list[CampaignLog]) -> list[tuple]:
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = _replayed(store, record.campaign_id)
+    for log in logs:
         cum: dict[str, Any] = {}
-        for event in _iteration_events(events):
+        for event in log.iterations:
             curves = event.payload.get("curve_parameters", {})
             for name, acquired in event.payload["acquired"].items():
                 cum[name] = acquired if name not in cum else cum[name] + acquired
                 curve = curves.get(name)
                 rows.append(
                     (
-                        record.campaign_id,
+                        log.record.campaign_id,
                         event.iteration,
                         name,
                         acquired,
@@ -74,18 +56,17 @@ def _ref_slice_trajectories(store: CampaignStore) -> list[tuple]:
     return rows
 
 
-def _ref_campaign_costs(store: CampaignStore) -> list[tuple]:
+def _ref_campaign_costs(logs: list[CampaignLog]) -> list[tuple]:
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = _replayed(store, record.campaign_id)
+    for log in logs:
         cum = None
-        for event in _iteration_events(events):
+        for event in log.iterations:
             payload = event.payload
             spent = payload["spent"]
             cum = spent if cum is None else cum + spent
             rows.append(
                 (
-                    record.campaign_id,
+                    log.record.campaign_id,
                     event.iteration,
                     spent,
                     cum,
@@ -98,12 +79,10 @@ def _ref_campaign_costs(store: CampaignStore) -> list[tuple]:
     return rows
 
 
-def _ref_fulfillment_rates(store: CampaignStore) -> list[tuple]:
+def _ref_fulfillment_rates(logs: list[CampaignLog]) -> list[tuple]:
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = _replayed(store, record.campaign_id)
-        fulfillments = [e for e in events if e.kind == "fulfillment"]
-        fulfillments.sort(key=lambda e: e.seq)
+    for log in logs:
+        fulfillments = log.of("fulfillment")
         n = len(fulfillments)
         requested = effective = delivered = shortfall = failovers = degraded = 0
         cost = None
@@ -118,7 +97,7 @@ def _ref_fulfillment_rates(store: CampaignStore) -> list[tuple]:
             degraded += 1 if payload["status"] != "fulfilled" else 0
         rows.append(
             (
-                record.campaign_id,
+                log.record.campaign_id,
                 n,
                 requested,
                 effective,
@@ -135,34 +114,22 @@ def _ref_fulfillment_rates(store: CampaignStore) -> list[tuple]:
     return rows
 
 
-def _ref_lane_fairness(store: CampaignStore) -> list[tuple]:
-    totals = []
-    for record in sorted(store.list_campaigns(), key=lambda r: r.campaign_id):
-        events = _replayed(store, record.campaign_id)
-        totals.append(
-            {
-                "priority": int(record.priority),
-                "budget": float(record.spec.get("budget", 0.0)),
-                "completed": 1 if record.status == "completed" else 0,
-                "iterations": len(_iteration_events(events)),
-                "spent": _final_spent(events),
-            }
-        )
+def _ref_lane_fairness(logs: list[CampaignLog]) -> list[tuple]:
     lanes: dict[int, dict] = {}
-    for t in totals:  # already in campaign_id order, matching the SQL window
+    # Rollup rows come in campaign_id order, matching the SQL window.
+    for row in _ref_campaign_rollup(logs):
+        _, _, status, priority, budget, iterations, spent = row[:7]
         lane = lanes.setdefault(
-            t["priority"],
+            priority,
             {"campaigns": 0, "completed": 0, "iterations": 0,
              "spent": None, "budget": None},
         )
         lane["campaigns"] += 1
-        lane["completed"] += t["completed"]
-        lane["iterations"] += t["iterations"]
-        lane["spent"] = (
-            t["spent"] if lane["spent"] is None else lane["spent"] + t["spent"]
-        )
+        lane["completed"] += 1 if status == "completed" else 0
+        lane["iterations"] += iterations
+        lane["spent"] = spent if lane["spent"] is None else lane["spent"] + spent
         lane["budget"] = (
-            t["budget"] if lane["budget"] is None else lane["budget"] + t["budget"]
+            budget if lane["budget"] is None else lane["budget"] + budget
         )
     total_spent = None
     total_budget = None
@@ -196,12 +163,11 @@ def _canonical(value: Any) -> str:
     return json.dumps(value, sort_keys=False)
 
 
-def _ref_cache_trends(store: CampaignStore) -> list[tuple]:
+def _ref_cache_trends(logs: list[CampaignLog]) -> list[tuple]:
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = _replayed(store, record.campaign_id)
+    for log in logs:
         previous: dict[str, str] = {}
-        for event in _iteration_events(events):
+        for event in log.iterations:
             curves = event.payload.get("curve_parameters", {})
             if not curves:
                 continue
@@ -216,7 +182,7 @@ def _ref_cache_trends(store: CampaignStore) -> list[tuple]:
                 previous[name] = rendered
             rows.append(
                 (
-                    record.campaign_id,
+                    log.record.campaign_id,
                     event.iteration,
                     slices,
                     reuses,
@@ -228,14 +194,11 @@ def _ref_cache_trends(store: CampaignStore) -> list[tuple]:
     return rows
 
 
-def _ref_reslice_trends(store: CampaignStore) -> list[tuple]:
+def _ref_reslice_trends(logs: list[CampaignLog]) -> list[tuple]:
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = [e for e in _replayed(store, record.campaign_id)
-                  if e.kind == "reslice"]
-        events.sort(key=lambda e: e.seq)
+    for log in logs:
         high_water = None
-        for event in events:
+        for event in log.of("reslice"):
             payload = event.payload
             generation = payload["slice_generation"]
             high_water = (
@@ -243,7 +206,7 @@ def _ref_reslice_trends(store: CampaignStore) -> list[tuple]:
             )
             rows.append(
                 (
-                    record.campaign_id,
+                    log.record.campaign_id,
                     event.seq,
                     event.iteration,
                     generation,
@@ -257,24 +220,18 @@ def _ref_reslice_trends(store: CampaignStore) -> list[tuple]:
     return rows
 
 
-def _ref_alert_history(store: CampaignStore) -> list[tuple]:
+def _ref_alert_history(logs: list[CampaignLog]) -> list[tuple]:
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = [
-            e
-            for e in _replayed(store, record.campaign_id)
-            if e.kind == "alert"
-        ]
-        events.sort(key=lambda e: e.seq)
+    for log in logs:
         fired: dict[str, int] = {}  # running per-rule fired count
-        for event in events:
+        for event in log.of("alert"):
             payload = event.payload
             rule = payload.get("rule")
             if payload.get("state") == "fired":
                 fired[rule] = fired.get(rule, 0) + 1
             rows.append(
                 (
-                    record.campaign_id,
+                    log.record.campaign_id,
                     event.seq,
                     event.iteration,
                     rule,
@@ -290,20 +247,14 @@ def _ref_alert_history(store: CampaignStore) -> list[tuple]:
     return rows
 
 
-def _ref_telemetry_spans(store: CampaignStore) -> list[tuple]:
+def _ref_telemetry_spans(logs: list[CampaignLog]) -> list[tuple]:
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = [
-            e
-            for e in _replayed(store, record.campaign_id)
-            if e.kind == "telemetry"
-        ]
-        events.sort(key=lambda e: e.seq)
-        for event in events:
+    for log in logs:
+        for event in log.of("telemetry"):
             payload = event.payload
             rows.append(
                 (
-                    record.campaign_id,
+                    log.record.campaign_id,
                     event.seq,
                     event.iteration,
                     payload.get("name"),
@@ -318,16 +269,14 @@ def _ref_telemetry_spans(store: CampaignStore) -> list[tuple]:
     return rows
 
 
-def _ref_provider_latency(store: CampaignStore) -> list[tuple]:
+def _ref_provider_latency(logs: list[CampaignLog]) -> list[tuple]:
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = [
+    for log in logs:
+        events = [  # in seq order: the SQL sums in seq order too
             e
-            for e in _replayed(store, record.campaign_id)
-            if e.kind == "telemetry"
-            and e.payload.get("name") == "acquisition.provider"
+            for e in log.of("telemetry")
+            if e.payload.get("name") == "acquisition.provider"
         ]
-        events.sort(key=lambda e: e.seq)  # SQL sums in seq order too
         groups: dict[str, dict] = {}
         for event in events:
             payload = event.payload
@@ -353,7 +302,7 @@ def _ref_provider_latency(store: CampaignStore) -> list[tuple]:
         for rank, (provider, group) in enumerate(ranked, start=1):
             rows.append(
                 (
-                    record.campaign_id,
+                    log.record.campaign_id,
                     provider,
                     group["calls"],
                     group["total"],
@@ -366,14 +315,11 @@ def _ref_provider_latency(store: CampaignStore) -> list[tuple]:
     return rows
 
 
-def _ref_campaign_rollup(store: CampaignStore) -> list[tuple]:
-    shortfalls = {row[0]: row[5] for row in _ref_fulfillment_rates(store)}
+def _ref_campaign_rollup(logs: list[CampaignLog]) -> list[tuple]:
+    shortfalls = {row[0]: row[5] for row in _ref_fulfillment_rates(logs)}
     rows: list[tuple] = []
-    for record in store.list_campaigns():
-        events = _replayed(store, record.campaign_id)
-        generations = [
-            e.payload["slice_generation"] for e in events if e.kind == "reslice"
-        ]
+    for log in logs:
+        record = log.record
         rows.append(
             (
                 record.campaign_id,
@@ -381,19 +327,19 @@ def _ref_campaign_rollup(store: CampaignStore) -> list[tuple]:
                 record.status,
                 int(record.priority),
                 float(record.spec.get("budget", 0.0)),
-                len(_iteration_events(events)),
-                _final_spent(events),
-                sum(1 for e in events if e.kind == "fulfillment"),
+                len(log.iterations),
+                log.spent,
+                len(log.of("fulfillment")),
                 shortfalls.get(record.campaign_id, 0),
-                max(generations) if generations else 0,
-                len(events),
+                log.slice_generation,
+                len(log.events),
             )
         )
     rows.sort(key=lambda row: row[0])
     return rows
 
 
-_REFERENCES: dict[str, Callable[[CampaignStore], list[tuple]]] = {
+_REFERENCES: dict[str, Callable[[list[CampaignLog]], list[tuple]]] = {
     "campaign_rollup": _ref_campaign_rollup,
     "slice_trajectories": _ref_slice_trajectories,
     "campaign_costs": _ref_campaign_costs,
@@ -417,7 +363,7 @@ def reference_rows(
             f"{', '.join(sorted(_REFERENCES))}"
         )
     definition = VIEW_DEFINITIONS[view]
-    rows = _REFERENCES[view](store)
+    rows = _REFERENCES[view](campaign_logs(store))
     if campaign_id is not None:
         if not definition.campaign_filterable:
             raise AnalyticsError(f"view {view!r} is global, not per-campaign")
@@ -433,7 +379,8 @@ def assert_consistent(
     Returns ``{view: row_count}`` on success; raises
     :class:`~repro.utils.exceptions.AnalyticsError` naming the first
     mismatching view, row, and column otherwise.  When ``analytics`` is
-    omitted a throw-away in-memory mirror is built from the store.
+    omitted a throw-away in-memory mirror is built from the store.  Each
+    campaign's log is read once and shared by all ten reference views.
     """
     from repro.analytics.refresh import Analytics
 
@@ -442,10 +389,11 @@ def assert_consistent(
         analytics = Analytics(store, path=":memory:")
     try:
         analytics.refresh()
+        logs = campaign_logs(store)
         counts: dict[str, int] = {}
         for view, definition in VIEW_DEFINITIONS.items():
             got = analytics.rows(view)
-            want = reference_rows(store, view)
+            want = _REFERENCES[view](logs)
             if len(got) != len(want):
                 raise AnalyticsError(
                     f"view {view!r}: SQL returned {len(got)} rows, "

@@ -6,10 +6,10 @@ scenario, acquisition setup, strategy, budget, seed) and a
 :class:`~repro.campaigns.store.CampaignStore` (where to persist it), and
 drives the run one iteration at a time:
 
-* every :class:`~repro.core.plan.IterationRecord` and every
-  :class:`~repro.acquisition.requests.Fulfillment` summary is appended to
-  the store's event log the moment it lands (via the session's
-  ``fulfillment`` hook and the record stream);
+* every :class:`~repro.core.plan.IterationRecord`,
+  :class:`~repro.acquisition.requests.Fulfillment` summary, re-slice and
+  persisted span is appended to the event log the moment it lands, through
+  one append path that also feeds the campaign's alert monitor;
 * every ``checkpoint_every`` iterations a full runtime-state snapshot is
   written — the session checkpoint (:meth:`TunerSession.state_dict
   <repro.core.session.TunerSession.state_dict>`) plus the tuner's
@@ -42,9 +42,10 @@ from repro.campaigns.store import (
     PAUSED,
     PENDING,
     RUNNING,
+    CampaignEvent,
+    CampaignLog,
     CampaignRecord,
     CampaignStore,
-    replay_events,
 )
 from repro.core.plan import IterationRecord, TuningResult
 from repro.core.registry import STRATEGIES
@@ -314,7 +315,6 @@ class Campaign:
         self._since_checkpoint = 0
         self._iteration_hooks: list[IterationHook] = []
         self._monitor: CampaignMonitor | None = None
-        self._monitor_cursor = 0
 
     # -- construction ------------------------------------------------------------
     @classmethod
@@ -476,14 +476,7 @@ class Campaign:
         if record is None:
             self._finalize()
             return None
-        self.store.append_event(
-            self.campaign_id,
-            generation=self.generation,
-            iteration=record.iteration,
-            kind="iteration",
-            payload=record.to_dict(),
-        )
-        self._poll_monitor()
+        self._append("iteration", record.iteration, record.to_dict())
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.spec.checkpoint_every:
             self.checkpoint()
@@ -577,13 +570,8 @@ class Campaign:
         else:
             if self.spec.evaluate:
                 self._initial_report = self.tuner.evaluate()
-                self.store.append_event(
-                    self.campaign_id,
-                    generation=self.generation,
-                    iteration=-1,
-                    kind="evaluate",
-                    payload={"stage": "initial", **self._initial_report.to_dict()},
-                )
+                report = self._initial_report.to_dict()
+                self._append("evaluate", -1, {"stage": "initial", **report})
             self._records = self.session.stream(
                 self.spec.budget, strategy=self.spec.method, lam=self.spec.lam
             )
@@ -591,27 +579,19 @@ class Campaign:
             # The monitor folds this campaign's own durable events (never
             # tuner state), so it can be rebuilt from the log: warm it up
             # with the replayed pre-snapshot history (the re-executed tail
-            # re-derives its samples live, byte-identically), then cursor
-            # past everything already stored.
+            # re-derives its samples live, byte-identically).  From here on
+            # _append feeds it; the initial evaluation's events stay out.
             self._monitor = CampaignMonitor(self.campaign_id)
-            history = self.store.events(self.campaign_id)
-            if history:
-                self._monitor_cursor = history[-1].seq
-                if resume_iteration is not None:
-                    self._monitor.warmup(
-                        replay_events(history), resume_iteration
-                    )
+            if resume_iteration is not None:
+                self._monitor.warmup(
+                    CampaignLog.read(self.store, self.campaign_id).events,
+                    resume_iteration,
+                )
         self.store.set_status(self.campaign_id, RUNNING)
 
     def _persist_fulfillment(self, fulfillment) -> None:
         summary = fulfillment.summary()
-        self.store.append_event(
-            self.campaign_id,
-            generation=self.generation,
-            iteration=_iteration_of(summary),
-            kind="fulfillment",
-            payload=summary,
-        )
+        self._append("fulfillment", _iteration_of(summary), summary)
 
     def _persist_span(self, span) -> None:
         """Persist one completed span as a durable ``telemetry`` event.
@@ -623,21 +603,14 @@ class Campaign:
         """
         if span.name not in PERSISTED_SPAN_NAMES:
             return
-        self.store.append_event(
-            self.campaign_id,
-            generation=self.generation,
-            iteration=int(span.baggage.get("iteration", -1)),
-            kind="telemetry",
-            payload=span.to_dict(),
-        )
+        iteration = int(span.baggage.get("iteration", -1))
+        self._append("telemetry", iteration, span.to_dict())
 
     def _persist_reslice(self, event) -> None:
-        self.store.append_event(
-            self.campaign_id,
-            generation=self.generation,
-            iteration=int(event.iteration),
-            kind="reslice",
-            payload={
+        self._append(
+            "reslice",
+            int(event.iteration),
+            {
                 "slice_generation": int(event.slice_generation),
                 "method": event.method,
                 "fingerprint": event.fingerprint,
@@ -652,30 +625,27 @@ class Campaign:
                 self.checkpoint()
             self.store.set_status(self.campaign_id, PAUSED)
 
-    def _poll_monitor(self) -> None:
-        """Fold events appended since the last poll; persist transitions.
+    def _append(self, kind: str, iteration: int, payload: dict[str, Any]) -> None:
+        """Persist one event under this generation and feed it to the monitor.
 
-        Called right after the ``iteration`` event lands (and before the
-        checkpoint, so a snapshot boundary never splits an iteration from
-        its alerts).  The ``after=seq`` cursor keeps an idle poll at
-        O(new events).
+        The alerts an ``iteration`` event triggers are appended straight
+        after it, before the checkpoint, so a snapshot boundary never
+        splits an iteration from its alerts.
         """
-        if self._monitor is None:
+        seq = self.store.append_event(
+            self.campaign_id,
+            generation=self.generation,
+            iteration=iteration,
+            kind=kind,
+            payload=payload,
+        )
+        if self._monitor is None or kind == "alert":
             return
-        fresh = self.store.events(self.campaign_id, after=self._monitor_cursor)
-        if fresh:
-            self._monitor_cursor = fresh[-1].seq
-        for alert in self._monitor.fold(fresh):
-            self._monitor_cursor = max(
-                self._monitor_cursor,
-                self.store.append_event(
-                    self.campaign_id,
-                    generation=self.generation,
-                    iteration=alert.iteration,
-                    kind="alert",
-                    payload=alert.to_dict(),
-                ),
-            )
+        event = CampaignEvent(
+            self.campaign_id, seq, self.generation, iteration, kind, payload
+        )
+        for alert in self._monitor.fold((event,)):
+            self._append("alert", alert.iteration, alert.to_dict())
 
     def _finalize(self) -> None:
         assert self.session is not None and self.tuner is not None
@@ -686,29 +656,15 @@ class Campaign:
         self._result = result
         if self._monitor is not None:
             for alert in self._monitor.finalize():
-                self.store.append_event(
-                    self.campaign_id,
-                    generation=self.generation,
-                    iteration=alert.iteration,
-                    kind="alert",
-                    payload=alert.to_dict(),
-                )
-        self.store.append_event(
-            self.campaign_id,
-            generation=self.generation,
-            iteration=-1,
-            kind="completed",
-            payload=result.to_dict(),
-        )
+                self._append("alert", alert.iteration, alert.to_dict())
+        self._append("completed", -1, result.to_dict())
         self.store.set_status(self.campaign_id, COMPLETED)
         self._records = None
 
     def _load_stored_result(self) -> TuningResult:
-        completed = [
-            event
-            for event in self.store.events(self.campaign_id)
-            if event.kind == "completed"
-        ]
+        completed = CampaignLog.read(
+            self.store, self.campaign_id, kinds=("completed",)
+        ).events
         if not completed:
             raise CampaignError(
                 f"campaign {self.campaign_id!r} is marked completed but has "

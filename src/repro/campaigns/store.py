@@ -23,6 +23,9 @@ re-executed iterations append byte-identical events under a fresh
 **generation** number; :func:`replay_events` collapses the log back into a
 single consistent history by keeping, for every iteration, the events of the
 newest generation that covers it.
+:class:`CampaignLog`, a campaign's record plus its replayed log read once,
+is the one Python fold over that history; only the two cursor tails (the
+daemon's live stream and the analytics mirror's refresh) read raw events.
 
 Two backends implement the protocol:
 
@@ -231,67 +234,116 @@ def replay_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
     return kept
 
 
-def campaign_summary(store: CampaignStore, campaign_id: str) -> dict[str, Any]:
-    """Replay a campaign's event log into its progress summary.
+@dataclass(frozen=True)
+class CampaignLog:
+    """One campaign's record and :func:`replay_events` of its log, read once.
 
-    The one fold of a campaign's progress, and the single source of the
-    summary shape shared by the daemon's ``GET /campaigns`` payload and the
-    CLI (``--json`` and the text tables), so local and remote tooling parse
-    one schema.  It reads the stored spec dict as is, so summarizing loads
-    no tuner code.
+    Summaries, alert history, span summaries, result reloads, monitor
+    warm-up and the analytics reference oracles all read a campaign
+    through it, so the derived totals below have one definition.
     """
-    record = store.get_campaign(campaign_id)
-    iterations = fulfillments = slice_generation = 0
-    spent = 0.0
-    acquired: dict[str, int] = {}
-    # Only iteration/fulfillment/reslice events are needed; skipping the
-    # rest keeps summaries cheap on stores whose ``completed`` events embed
-    # full results.
-    events = store.events(campaign_id, kinds=("iteration", "fulfillment", "reslice"))
-    for event in replay_events(events):
-        if event.kind == "iteration":
-            iterations += 1
+
+    record: CampaignRecord
+    events: list[CampaignEvent]
+
+    @classmethod
+    def read(
+        cls,
+        store: CampaignStore,
+        campaign: str | CampaignRecord,
+        kinds: tuple[str, ...] | None = None,
+    ) -> "CampaignLog":
+        """Read and replay one campaign's log; ``kinds`` skips parsing the rest."""
+        if not isinstance(campaign, CampaignRecord):
+            campaign = store.get_campaign(campaign)
+        events = store.events(campaign.campaign_id, kinds=kinds)
+        return cls(campaign, replay_events(events))
+
+    def of(self, kind: str) -> list[CampaignEvent]:
+        """The replayed events of one kind, in seq order."""
+        return [event for event in self.events if event.kind == kind]
+
+    @property
+    def iterations(self) -> list[CampaignEvent]:
+        """The ``iteration`` events in iteration order."""
+        return sorted(self.of("iteration"), key=lambda event: event.iteration)
+
+    @property
+    def spent(self) -> float:
+        """Budget spent, summed in iteration order (the SQL running sum's order)."""
+        spent = 0.0
+        for event in self.iterations:
             spent += float(event.payload.get("spent", 0.0))
-            for name, count in event.payload.get("acquired", {}).items():
-                acquired[name] = acquired.get(name, 0) + int(count)
-        elif event.kind == "fulfillment":
-            fulfillments += 1
-        elif event.kind == "reslice":
-            slice_generation = max(
-                slice_generation, int(event.payload.get("slice_generation", 0))
-            )
+        return spent
+
+    @property
+    def slice_generation(self) -> int:
+        """The newest slice generation a ``reslice`` event reached (0 if none)."""
+        return max(
+            (int(e.payload.get("slice_generation", 0)) for e in self.of("reslice")),
+            default=0,
+        )
+
+
+def campaign_logs(
+    store: CampaignStore, kinds: tuple[str, ...] | None = None
+) -> list[CampaignLog]:
+    """Every campaign's :class:`CampaignLog`, in creation order."""
+    return [CampaignLog.read(store, record, kinds) for record in store.list_campaigns()]
+
+
+#: What a progress summary parses (``completed`` events embed full results).
+_SUMMARY_KINDS = ("iteration", "fulfillment", "reslice")
+
+
+def _summarize(store: CampaignStore, log: CampaignLog) -> dict[str, Any]:
+    record = log.record
+    iterations = log.iterations
+    acquired: dict[str, int] = {}
+    for event in iterations:
+        for name, count in event.payload.get("acquired", {}).items():
+            acquired[name] = acquired.get(name, 0) + int(count)
     return {
         "campaign_id": record.campaign_id,
         "name": record.name,
         "status": record.status,
         "priority": record.priority,
-        "iterations": iterations,
-        "spent": spent,
+        "iterations": len(iterations),
+        "spent": log.spent,
         "budget": record.spec.get("budget", DEFAULT_BUDGET),
         "acquired": acquired,
         # Generations start at 0 and increment by one per resume, so the
         # count is the latest generation + 1 — no need to scan the log.
-        "generations": store.latest_generation(campaign_id) + 1,
-        "fulfillments": fulfillments,
-        "slice_generation": slice_generation,
+        "generations": store.latest_generation(record.campaign_id) + 1,
+        "fulfillments": len(log.of("fulfillment")),
+        "slice_generation": log.slice_generation,
     }
+
+
+def campaign_summary(store: CampaignStore, campaign_id: str) -> dict[str, Any]:
+    """A campaign's progress summary, folded from its :class:`CampaignLog`.
+
+    The one summary shape, shared by ``GET /campaigns`` and the CLI
+    (``--json`` and text), so local and remote tooling parse one schema.
+    It reads the stored spec dict as is, so it loads no tuner code.
+    """
+    return _summarize(store, CampaignLog.read(store, campaign_id, _SUMMARY_KINDS))
 
 
 def campaign_summaries(store: CampaignStore) -> list[dict[str, Any]]:
     """Every campaign's summary in creation order (``GET /campaigns``, ``campaign list``)."""
-    return [campaign_summary(store, record.campaign_id) for record in store.list_campaigns()]
+    return [_summarize(store, log) for log in campaign_logs(store, _SUMMARY_KINDS)]
 
 
 def campaign_detail(store: CampaignStore, campaign_id: str) -> dict[str, Any]:
     """The summary plus the stored spec (``GET /campaigns/<id>``, ``campaign show``)."""
-    summary = campaign_summary(store, campaign_id)
-    summary["spec"] = dict(store.get_campaign(campaign_id).spec)
-    return summary
+    log = CampaignLog.read(store, campaign_id, _SUMMARY_KINDS)
+    return {**_summarize(store, log), "spec": dict(log.record.spec)}
 
 
 def campaign_log(store: CampaignStore, campaign_id: str) -> list[dict[str, Any]]:
     """The replayed event log as dicts (``GET /campaigns/<id>/log``, ``campaign show``)."""
-    return [event.to_dict() for event in replay_events(store.events(campaign_id))]
+    return [event.to_dict() for event in CampaignLog.read(store, campaign_id).events]
 
 
 class InMemoryStore:

@@ -3,16 +3,16 @@
 Two evaluators share the :class:`~repro.monitor.rules.AlertRule` vocabulary:
 
 :class:`CampaignMonitor`
-    Owned by a running :class:`~repro.campaigns.campaign.Campaign`.  It
-    folds the campaign's *own durable events* in seq order — fulfillment
-    summaries and persisted telemetry spans accumulate, and every
-    ``iteration`` event triggers one evaluation of the campaign-scope
+    Fed by a running :class:`~repro.campaigns.campaign.Campaign` with each
+    of its *own durable events* as it appends them, never polled —
+    fulfillment summaries and persisted telemetry spans accumulate, and
+    every ``iteration`` event triggers one evaluation of the campaign-scope
     rules.  Transitions (fired/resolved) come back as :class:`Alert`
-    records which the campaign persists as durable ``alert`` events.
-    Because the fold is a pure function of the event log (windows keyed by
-    iteration, never wall-clock), replaying the log through a fresh
-    monitor reproduces the exact alert sequence — which is also how
-    crash-resume warms the monitor back up to its pre-crash state.
+    records which the campaign appends as ``alert`` events right behind
+    the ``iteration``.  The fold is a pure function of the event log
+    (windows keyed by iteration, never wall-clock), so replaying the log
+    through a fresh monitor reproduces the exact alert sequence — which is
+    also how crash-resume warms the monitor back up to its pre-crash state.
 
 :class:`HealthEvaluator`
     Process-wide.  Folds successive :class:`~repro.telemetry.MetricsRegistry`
@@ -39,8 +39,9 @@ from repro.campaigns.store import (
     FAILED,
     PAUSED,
     CampaignEvent,
+    CampaignLog,
+    CampaignRecord,
     CampaignStore,
-    replay_events,
 )
 from repro.monitor.rules import (
     COMPONENTS,
@@ -348,18 +349,22 @@ def alert_history(
     records = store.list_campaigns()
     if campaign_id is not None:
         records = [r for r in records if r.campaign_id == campaign_id]
-    rows = []
-    for record in records:
-        events = replay_events(store.events(record.campaign_id, kinds=("alert",)))
-        for event in events:
-            row = {
-                "campaign_id": record.campaign_id,
-                "seq": event.seq,
-                "generation": event.generation,
-            }
-            row.update(event.payload)
-            rows.append(row)
-    return rows
+    return [row for record in records for row in _alert_rows(store, record)]
+
+
+def _alert_rows(
+    store: CampaignStore, record: CampaignRecord
+) -> list[dict[str, Any]]:
+    """One campaign's :func:`alert_history` rows, from its alert-only log."""
+    return [
+        {
+            "campaign_id": record.campaign_id,
+            "seq": event.seq,
+            "generation": event.generation,
+            **event.payload,
+        }
+        for event in CampaignLog.read(store, record, kinds=("alert",)).events
+    ]
 
 
 def alert_payload(
@@ -390,7 +395,7 @@ def _active_campaign_alerts(
         if record.status in (COMPLETED, FAILED, PAUSED):
             continue
         last: dict[str, dict[str, Any]] = {}
-        for row in alert_history(store, record.campaign_id):
+        for row in _alert_rows(store, record):
             last[str(row.get("rule"))] = row
         for rule, row in sorted(last.items()):
             if row.get("state") == "fired":

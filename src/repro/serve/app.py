@@ -36,12 +36,12 @@ from repro.campaigns.store import (
     PAUSED,
     RESUMABLE,
     CampaignEvent,
+    CampaignLog,
     CampaignStore,
     InMemoryStore,
     campaign_detail,
     campaign_log,
     campaign_summaries,
-    replay_events,
 )
 from repro.engine.cache import InMemoryResultCache, ResultCache
 from repro.monitor import HealthEvaluator, alert_payload
@@ -267,7 +267,7 @@ class TunerService:
         Use once per stream; the live tail should poll the cheaper
         :meth:`events_after`.
         """
-        events = replay_events(self.store.events(campaign_id))
+        events = CampaignLog.read(self.store, campaign_id).events
         return [event for event in events if event.seq > after]
 
     def events_after(self, campaign_id: str, after: int) -> list[CampaignEvent]:
@@ -427,16 +427,13 @@ class TunerService:
     def span_summary(self, campaign_id: str) -> dict[str, Any]:
         """Aggregate a campaign's persisted telemetry spans by span name.
 
-        Backs ``GET /campaigns/<id>/spans``.  Reads the durable
-        ``telemetry`` events (written only while a live tracer is
-        installed), so the summary survives daemon restarts alongside the
-        campaign itself.
+        Backs ``GET /campaigns/<id>/spans`` (unknown ids are 404-mapped).
+        Reads the durable ``telemetry`` events (written only while a live
+        tracer is installed) after generation collapse, like ``report
+        telemetry``, so the summary survives daemon restarts and resumes.
         """
-        self.store.get_campaign(campaign_id)  # 404-mapped when unknown
-        total, spans = summarize_spans(
-            event.payload
-            for event in self.store.events(campaign_id, kinds=("telemetry",))
-        )
+        log = CampaignLog.read(self.store, campaign_id, kinds=("telemetry",))
+        total, spans = summarize_spans(event.payload for event in log.events)
         return {
             "campaign_id": campaign_id,
             "tracing": get_tracer().enabled,

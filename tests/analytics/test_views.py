@@ -16,7 +16,10 @@ from repro.analytics import (
     assert_consistent,
     reference_rows,
 )
+from repro.campaigns.store import CampaignRecord, SqliteStore, campaign_summary
 from repro.utils.exceptions import AnalyticsError
+
+from tests.analytics.conftest import fill_store
 
 
 @pytest.fixture
@@ -55,6 +58,43 @@ class TestConsistency:
             AnalyticsError, match=r"view '\w+' row \d+ column 'spent'"
         ):
             assert_consistent(filled_store, analytics)
+
+
+class TestOneFold:
+    def test_assert_consistent_reads_each_campaign_once(self, tmp_path):
+        # All ten reference views share one read of each campaign's log.
+        # A file-backed store keeps the mirror's own refresh off events().
+        class CountingStore(SqliteStore):
+            reads = 0
+
+            def events(self, *args, **kwargs):
+                self.reads += 1
+                return super().events(*args, **kwargs)
+
+        store = CountingStore(str(tmp_path / "campaigns.sqlite"))
+        try:
+            fill_store(store)
+            for cid in ("c-delta", "c-epsilon"):
+                store.create_campaign(CampaignRecord(
+                    campaign_id=cid, name=cid, fingerprint=f"fp-{cid}",
+                    spec={"budget": 100.0}, created_at=1000.0,
+                ))
+            store.reads = 0
+            counts = assert_consistent(store)
+            assert counts["campaign_rollup"] == 5
+            assert store.reads == 5
+        finally:
+            store.close()
+
+    def test_summary_totals_equal_the_sql_rollup(self, filled_store, analytics):
+        columns = analytics.columns("campaign_rollup")
+        rows = analytics.rows("campaign_rollup")
+        assert len(rows) == 3
+        for row in rows:
+            rollup = dict(zip(columns, row))
+            summary = campaign_summary(filled_store, rollup["campaign_id"])
+            for key in ("iterations", "spent", "fulfillments", "slice_generation"):
+                assert summary[key] == rollup[key], (rollup["campaign_id"], key)
 
 
 class TestRollup:

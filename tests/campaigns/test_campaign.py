@@ -231,6 +231,43 @@ class TestPauseAndResume:
             Campaign.resume(InMemoryStore(), "ghost")
 
 
+class ReadCountingStore(InMemoryStore):
+    """An in-memory store that records the ``kinds`` of every log read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads: list = []
+
+    def events(self, campaign_id, kinds=None, after=0):
+        self.reads.append(kinds)
+        return super().events(campaign_id, kinds, after)
+
+
+class TestLogReads:
+    def test_a_running_campaign_never_reads_its_log_back(self):
+        # The monitor is fed as events are appended, not by polling the store.
+        store = ReadCountingStore()
+        assert Campaign.start(store, fast_spec()).run() is not None
+        assert store.reads == []
+
+    def test_resume_reads_the_log_once_to_warm_the_monitor(self):
+        store = ReadCountingStore()
+        first = Campaign.start(store, fast_spec())
+        assert first.run(max_steps=2) is None
+        store.reads.clear()
+        assert Campaign.resume(store, first.campaign_id).run() is not None
+        assert store.reads == [None]
+
+    def test_resuming_a_completed_campaign_parses_only_completed_events(self):
+        store = ReadCountingStore()
+        spec = fast_spec()
+        original = Campaign.start(store, spec).run()
+        store.reads.clear()
+        replayed = Campaign.resume(store, spec.campaign_id()).result()
+        assert replayed.to_json() == original.to_json()
+        assert store.reads == [("completed",)]
+
+
 class TestIdempotentReruns:
     def test_completed_campaign_replays_without_rebuilding(self):
         store = InMemoryStore()

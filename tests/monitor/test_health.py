@@ -308,6 +308,37 @@ class TestHealthEvaluator:
         assert broken["components"]["serve"]["status"] == "critical"
         assert broken["status"] == "critical"
 
+    def test_health_lists_campaigns_once(self):
+        # One list_campaigns per health check, however many campaigns run:
+        # each running campaign's alerts are read from its own log, not by
+        # listing every campaign again.
+        class CountingStore(InMemoryStore):
+            list_calls = 0
+
+            def list_campaigns(self):
+                self.list_calls += 1
+                return super().list_campaigns()
+
+        store = CountingStore()
+        for index in range(4):
+            campaign_id = f"c-{index}"
+            store.create_campaign(CampaignRecord(
+                campaign_id=campaign_id, name=campaign_id,
+                fingerprint=f"f{index}", spec={}, status=RUNNING,
+            ))
+            alert = Alert(
+                rule="provider_failover", component="acquisition",
+                severity="degraded", state="fired", value=0.5, threshold=0.3,
+                window=3, iteration=1, message="m",
+            )
+            store.append_event(
+                campaign_id, generation=0, kind="alert", iteration=1,
+                payload=alert.to_dict(),
+            )
+        verdict = HealthEvaluator().health(store=store)
+        assert store.list_calls == 1
+        assert len(verdict["components"]["acquisition"]["alerts"]) == 4
+
 
 class TestAlertHistory:
     def test_rows_annotate_payloads_with_seq_and_generation(self):

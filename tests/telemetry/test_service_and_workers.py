@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.campaigns import COMPLETED
+from repro.campaigns import COMPLETED, Campaign, CampaignSpec, InMemoryStore
+from repro.campaigns.store import CampaignLog
 from repro.engine.cache import InMemoryResultCache
 from repro.engine.executor import ProcessPoolExecutor, SerialExecutor
 from repro.engine.factories import get_model_factory
@@ -26,7 +27,7 @@ from repro.ml.train import TrainingConfig
 from repro.serve import TunerService
 from repro.telemetry import derive_span_id
 
-from tests.serve.conftest import tiny_spec
+from tests.serve.conftest import multi_spec, tiny_spec
 
 
 def _wait_done(service, campaign_id, timeout=120.0):
@@ -81,6 +82,32 @@ class TestDisjointCampaignTrees:
             summary = service.span_summary(ids[0])
             assert summary["span_count"] == len(per_campaign[ids[0]])
             assert summary["tracing"] is True
+        finally:
+            service.close()
+
+    def test_resumed_campaign_counts_each_span_once(self, live_tracer):
+        # Crash between snapshots: iteration 3 runs (and persists its spans)
+        # twice, once per generation.  The span summary collapses
+        # generations like the replayed log and ``report telemetry`` do.
+        store = InMemoryStore()
+        spec = CampaignSpec.from_dict(
+            multi_spec(name="resumed-spans", checkpoint_every=2)
+        )
+        campaign = Campaign.start(store, spec)
+        for _ in range(3):
+            campaign.advance()
+        del campaign  # abandoned: no pause, no final checkpoint
+        campaign_id = spec.campaign_id()
+        assert Campaign.resume(store, campaign_id).run() is not None
+        service = TunerService(store=store)
+        try:
+            summary = service.span_summary(campaign_id)
+            replayed = CampaignLog.read(store, campaign_id, ("telemetry",)).events
+            report = service.report("telemetry", campaign_id)
+            rows = report["sections"]["telemetry_spans"]["rows"]
+            assert summary["span_count"] == len(replayed) == len(rows)
+            raw = store.events(campaign_id, kinds=("telemetry",))
+            assert len(raw) > len(replayed)
         finally:
             service.close()
 
