@@ -362,13 +362,12 @@ def reference_rows(
             f"unknown analytics view {view!r}; expected one of "
             f"{', '.join(sorted(_REFERENCES))}"
         )
-    definition = VIEW_DEFINITIONS[view]
-    rows = _REFERENCES[view](campaign_logs(store))
-    if campaign_id is not None:
-        if not definition.campaign_filterable:
-            raise AnalyticsError(f"view {view!r} is global, not per-campaign")
-        rows = [row for row in rows if row[0] == campaign_id]
-    return rows
+    if campaign_id is None:
+        return _REFERENCES[view](campaign_logs(store))
+    if not VIEW_DEFINITIONS[view].campaign_filterable:
+        raise AnalyticsError(f"view {view!r} is global, not per-campaign")
+    # A filterable view's rows of one campaign come from its log alone.
+    return _REFERENCES[view]([CampaignLog.read(store, campaign_id)])
 
 
 def assert_consistent(

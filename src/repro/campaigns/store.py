@@ -335,15 +335,28 @@ def campaign_summaries(store: CampaignStore) -> list[dict[str, Any]]:
     return [_summarize(store, log) for log in campaign_logs(store, _SUMMARY_KINDS)]
 
 
-def campaign_detail(store: CampaignStore, campaign_id: str) -> dict[str, Any]:
-    """The summary plus the stored spec (``GET /campaigns/<id>``, ``campaign show``)."""
-    log = CampaignLog.read(store, campaign_id, _SUMMARY_KINDS)
+def _detail(store: CampaignStore, log: CampaignLog) -> dict[str, Any]:
     return {**_summarize(store, log), "spec": dict(log.record.spec)}
 
 
+def campaign_detail(store: CampaignStore, campaign_id: str) -> dict[str, Any]:
+    """The summary plus the stored spec (``GET /campaigns/<id>``)."""
+    return _detail(store, CampaignLog.read(store, campaign_id, _SUMMARY_KINDS))
+
+
 def campaign_log(store: CampaignStore, campaign_id: str) -> list[dict[str, Any]]:
-    """The replayed event log as dicts (``GET /campaigns/<id>/log``, ``campaign show``)."""
+    """The replayed event log as dicts (``GET /campaigns/<id>/log``)."""
     return [event.to_dict() for event in CampaignLog.read(store, campaign_id).events]
+
+
+def campaign_show(
+    store: CampaignStore, campaign_id: str
+) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """:func:`campaign_detail` and :func:`campaign_log` from one read of the
+    log (``campaign show``).  Replay keeps or drops each event by its own
+    kind and iteration, so the full log summarizes as the filtered one."""
+    log = CampaignLog.read(store, campaign_id)
+    return _detail(store, log), [event.to_dict() for event in log.events]
 
 
 class InMemoryStore:

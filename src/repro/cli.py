@@ -1070,11 +1070,10 @@ def run_campaign_show(args: argparse.Namespace) -> Reply:
     The campaign and its events are the ``GET /campaigns/<id>`` and
     ``GET /campaigns/<id>/log`` bodies.
     """
-    from repro.campaigns.store import campaign_detail, campaign_log
+    from repro.campaigns.store import campaign_show
 
     with _existing_store(args) as store:
-        campaign = campaign_detail(store, args.campaign_id)
-        events = campaign_log(store, args.campaign_id)
+        campaign, events = campaign_show(store, args.campaign_id)
 
     def text() -> str:
         if args.quiet:

@@ -7,7 +7,8 @@ factory, a trainer configuration, and a pre-spawned seed.  This package turns
 that observation into infrastructure:
 
 * :mod:`repro.engine.job` — the declarative job spec with content-addressed
-  fingerprints, and the single worker function that executes one job.
+  fingerprints, and the worker function that trains a batch of jobs in
+  lock-step groups.
 * :mod:`repro.engine.cache` — a :class:`~repro.engine.cache.ResultCache`
   keyed on job fingerprints so a training with the same data, configuration,
   and seed is never re-run, plus the :class:`~repro.engine.cache.CurveCache`

@@ -14,20 +14,20 @@ the experiment runner to fan a scenario/method/trial grid out across
 workers.
 
 **Lock-step training.**  The misses of one submit are planned by
-:func:`~repro.engine.job.plan_training_jobs`: jobs whose models are softmax
-regressions of one class, ``n_classes`` and ``l2``, with one
-:class:`~repro.ml.train.TrainingConfig` (no early stopping), one feature
-width and no validation set form a group, and each group trains as one
-stacked model (:func:`~repro.ml.train.fit_lockstep`).  Every weight comes
-out bitwise equal to the job's own per-model training, so grouping is only
-a schedule; jobs outside any group (MLPs, validation sets, early stopping)
-fall back to the per-model loop.  :class:`SerialExecutor` trains each group
-in one loop under an ``engine.train`` span; :class:`ProcessPoolExecutor`
-ships each group as at most ``max_workers`` row-balanced chunks, and a
-traced worker trains each chunk under one ``engine.train`` span next to
-per-job ``engine.job`` marker spans.  The ``engine.submit`` span records
-``groups`` and ``stacked`` (jobs in groups), and the
-``engine.stacked_jobs`` counter sums the latter.
+:func:`~repro.engine.job.plan_training_jobs`: jobs whose models share class
+and hyperparameters (softmax or MLP), with one
+:class:`~repro.ml.train.TrainingConfig` and one feature width form a group,
+and each group trains as one stacked model
+(:func:`~repro.ml.train.fit_lockstep`, the only training loop; a lone job
+is a group of one).  Every weight comes out bitwise equal to the job's own
+training, so grouping is only a schedule.  :class:`SerialExecutor` trains
+each group of two or more under an ``engine.train`` span;
+:class:`ProcessPoolExecutor` ships each group as at most ``max_workers``
+row-balanced chunks, and a traced worker trains each chunk under one
+``engine.train`` span next to per-job ``engine.job`` marker spans.  The
+``engine.submit`` span records ``groups`` and ``stacked`` (groups of two or
+more, and the jobs in them), and the ``engine.stacked_jobs`` counter sums
+the latter.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ class ProcessPoolExecutor(Executor):
         Tasks shipped per worker message; 1 keeps scheduling responsive for
         the heterogeneous job sizes the estimator produces.  A task is one
         chunk of a lock-step group (a group splits into at most
-        ``max_workers`` chunks of about equal rows) or one ungrouped job.
+        ``max_workers`` chunks of about equal rows).
 
     Jobs and their results must be picklable.  A closure model factory (the
     one realistic offender) degrades gracefully: the batch runs serially in

@@ -14,12 +14,14 @@ spawned up-front by the caller.  Two consequences:
 
 :func:`run_training_jobs` executes a batch: jobs that share a lock-step key
 (:func:`plan_training_jobs`) train together in one
-:func:`~repro.ml.train.fit_lockstep` loop, every other job alone through
-:func:`run_training_job`.  Each job's result is bitwise the same either way.
+:func:`~repro.ml.train.fit_lockstep` loop, and a job that shares it with no
+other trains as a group of one.  Each job's result is bitwise the same
+however the batch is grouped.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -27,8 +29,7 @@ from typing import Any, Hashable, Sequence
 
 from repro.engine.factories import ModelFactory
 from repro.ml.data import Dataset
-from repro.ml.linear import SoftmaxRegression
-from repro.ml.train import Trainer, TrainingConfig, TrainingResult, fit_lockstep
+from repro.ml.train import TrainingConfig, TrainingResult, fit_lockstep
 from repro.telemetry import get_tracer
 
 
@@ -60,9 +61,19 @@ def stable_seed(*parts: Any) -> int:
     return int.from_bytes(digest.digest()[:8], "big") >> 1
 
 
+#: Early-stopping fields :class:`TrainingConfig` no longer has, hashed at
+#: the defaults they always had, so job fingerprints and the disk-cache rows
+#: keyed by them keep their bytes.
+_RETIRED_CONFIG_FIELDS = [
+    ("early_stopping_patience", 0),
+    ("validation_fraction", 0.0),
+    ("restore_best", False),
+]
+
+
 def _fingerprint_config(config: TrainingConfig) -> str:
     pairs = [(f.name, getattr(config, f.name)) for f in fields(config)]
-    return repr(sorted(pairs))
+    return repr(sorted(pairs + _RETIRED_CONFIG_FIELDS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +87,9 @@ class TrainingJob:
     n_classes:
         Number of classes the model must discriminate.
     seed:
-        Seed for the trainer's RNG (batch shuffling, internal validation
-        split).  Spawn it from the parent RNG *before* submitting, so serial
-        and parallel executors see identical seeds.
+        Seed for the training loop's batch shuffling.  Spawn it from the
+        parent RNG *before* submitting, so serial and parallel executors see
+        identical seeds.
     trainer_config:
         Hyperparameters of the training run.
     model_factory:
@@ -89,8 +100,6 @@ class TrainingJob:
         Stable identifier of the factory used for fingerprinting; defaults
         to a name derived from the callable (see
         :func:`repro.engine.factories.describe_factory`).
-    validation:
-        Optional validation data forwarded to :meth:`Trainer.fit`.
     tag:
         Caller-side correlation data (e.g. ``(repeat, fraction)``); carried
         through to the result, never fingerprinted.
@@ -102,7 +111,6 @@ class TrainingJob:
     trainer_config: TrainingConfig = field(default_factory=TrainingConfig)
     model_factory: ModelFactory | None = None
     factory_name: str = ""
-    validation: Dataset | None = None
     tag: Any = None
 
     @cached_property
@@ -113,8 +121,6 @@ class TrainingJob:
         factory_name = self.factory_name or describe_factory(self.model_factory)
         digest = hashlib.sha256()
         digest.update(fingerprint_dataset(self.train).encode())
-        if self.validation is not None:
-            digest.update(fingerprint_dataset(self.validation).encode())
         digest.update(
             "\x1f".join(
                 (
@@ -169,35 +175,20 @@ def _build_model(job: TrainingJob) -> Any:
     return factory(job.n_classes)
 
 
-def _fit_alone(job: TrainingJob, model: Any) -> JobResult:
-    trainer = Trainer(config=job.trainer_config, random_state=job.seed)
-    training = trainer.fit(model, job.train, job.validation)
-    return JobResult(model=model, training=training, tag=job.tag)
-
-
 def run_training_job(job: TrainingJob) -> JobResult:
-    """Execute one job: build a fresh model, train it, package the result.
+    """Execute one job: build a fresh model, train it, package the result."""
+    return run_training_jobs([job])[0]
 
-    Module-level (not a method) so process-pool workers can import it.
+
+def _lockstep_key(job: TrainingJob, model: Any) -> Hashable:
+    """What jobs must share to train in one lock-step loop.
+
+    The model's class and hyperparameters (``n_classes``, ``l2`` and, for
+    an MLP, ``hidden_sizes``), one :class:`~repro.ml.train.TrainingConfig`
+    and one feature width.
     """
-    return _fit_alone(job, _build_model(job))
-
-
-def _lockstep_key(job: TrainingJob, model: Any) -> Hashable | None:
-    """What jobs must share to train in one lock-step loop (``None``: never).
-
-    Softmax models of one class, ``n_classes`` and ``l2``, one
-    :class:`~repro.ml.train.TrainingConfig` without early stopping, one
-    feature width, and no validation set.
-    """
-    config = job.trainer_config
-    if (
-        type(model) is not SoftmaxRegression
-        or job.validation is not None
-        or config.early_stopping_patience
-    ):
-        return None
-    return (model.n_classes, model.l2, config, job.train.n_features)
+    hyperparameters = (model.n_classes, model.l2, getattr(model, "hidden_sizes", ()))
+    return (type(model), hyperparameters, job.trainer_config, job.train.n_features)
 
 
 @dataclass
@@ -210,7 +201,8 @@ class TrainingPlan:
         One fresh model per job, built by the job's factory.
     groups:
         A partition of the job indices in order of each list's first job.
-        A list of two or more trains in lock-step; a singleton trains alone.
+        Each list trains in one lock-step loop; a singleton is a group of
+        one.
     """
 
     models: list[Any]
@@ -218,7 +210,7 @@ class TrainingPlan:
 
     @property
     def lockstep(self) -> list[list[int]]:
-        """The groups that train in lock-step."""
+        """The groups of two or more jobs."""
         return [group for group in self.groups if len(group) > 1]
 
 
@@ -229,14 +221,11 @@ def plan_training_jobs(jobs: Sequence[TrainingJob]) -> TrainingPlan:
     groups: list[list[int]] = []
     for index, (job, model) in enumerate(zip(jobs, models)):
         key = _lockstep_key(job, model)
-        group = None if key is None else by_key.get(key)
-        if group is None:
-            group = [index]
-            groups.append(group)
-            if key is not None:
-                by_key[key] = group
+        if key in by_key:
+            by_key[key].append(index)
         else:
-            group.append(index)
+            by_key[key] = [index]
+            groups.append(by_key[key])
     return TrainingPlan(models=models, groups=groups)
 
 
@@ -260,25 +249,26 @@ def run_training_jobs(
 ) -> list[JobResult]:
     """Execute a batch of jobs, results in submission order.
 
-    Each lock-step group of ``plan`` (default :func:`plan_training_jobs`)
-    trains in one :func:`~repro.ml.train.fit_lockstep` loop under an
-    ``engine.train`` span; every other job trains alone, exactly as
-    :func:`run_training_job` would.  Module-level so process-pool workers
+    Each group of ``plan`` (default :func:`plan_training_jobs`) trains in
+    one :func:`~repro.ml.train.fit_lockstep` loop, a group of two or more
+    under an ``engine.train`` span.  Module-level so process-pool workers
     can import it.
     """
     jobs = list(jobs)
     plan = plan_training_jobs(jobs) if plan is None else plan
     results: list[JobResult | None] = [None] * len(jobs)
     for group in plan.groups:
-        if len(group) == 1:
-            results[group[0]] = _fit_alone(jobs[group[0]], plan.models[group[0]])
-            continue
         members = [jobs[index] for index in group]
         models = [plan.models[index] for index in group]
-        with get_tracer().span(
-            "engine.train",
-            attributes={"jobs": len(group), "steps": scheduled_steps(members)},
-        ):
+        span = (
+            get_tracer().span(
+                "engine.train",
+                attributes={"jobs": len(group), "steps": scheduled_steps(members)},
+            )
+            if len(group) > 1
+            else contextlib.nullcontext()
+        )
+        with span:
             trainings = fit_lockstep(
                 models,
                 [job.train for job in members],

@@ -12,7 +12,8 @@ Public entry points:
 * :class:`~repro.ml.linear.SoftmaxRegression` and
   :class:`~repro.ml.mlp.MLPClassifier` — the classifiers.
 * :class:`~repro.ml.train.Trainer` / :class:`~repro.ml.train.TrainingConfig`
-  — the training loop with mini-batching and early stopping.
+  — mini-batch training, through the one stacked loop
+  :func:`~repro.ml.train.fit_lockstep`.
 * :func:`~repro.ml.metrics.log_loss`, :func:`~repro.ml.metrics.accuracy`,
   :func:`~repro.ml.metrics.per_slice_losses` — evaluation helpers.
 """

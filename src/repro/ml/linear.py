@@ -8,6 +8,8 @@ role here is played by :class:`repro.ml.mlp.MLPClassifier`.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.ml.data import Dataset
@@ -52,7 +54,7 @@ class SoftmaxRegression:
         self.weights: np.ndarray | None = None
         self.bias: np.ndarray | None = None
 
-    # -- parameter plumbing used by the shared Trainer ----------------------
+    # -- parameter plumbing used by the training loop -----------------------
     def initialize(self, n_features: int) -> None:
         """(Re-)initialize parameters for inputs of width ``n_features``."""
         scale = 1.0 / np.sqrt(max(n_features, 1))
@@ -69,6 +71,10 @@ class SoftmaxRegression:
         if self.weights is None or self.bias is None:
             raise ConfigurationError("model is not initialized")
         return [self.weights, self.bias]
+
+    def set_parameters(self, params: Sequence[np.ndarray]) -> None:
+        """Hold ``params`` (laid out as :meth:`parameters` returns them)."""
+        self.weights, self.bias = params
 
     def gradients(self, features: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
         """Return gradients of the regularized loss for a mini-batch.

@@ -3,8 +3,8 @@
 This is the stand-in for the paper's small convolutional networks (2-3 hidden
 layers) and, with more/wider layers, for the ResNet-18 comparison in
 Appendix B.  The implementation is a straightforward fully-connected network
-with ReLU activations and a softmax output trained by mini-batch gradient
-descent through the shared :class:`repro.ml.train.Trainer`.
+with ReLU activations and a softmax output, trained by the one mini-batch
+loop every model shares, :func:`repro.ml.train.fit_lockstep`.
 """
 
 from __future__ import annotations
@@ -82,19 +82,29 @@ class MLPClassifier:
             params.append(bias)
         return params
 
+    def set_parameters(self, params: Sequence[np.ndarray]) -> None:
+        """Hold ``params`` (laid out as :meth:`parameters` returns them)."""
+        self.weights, self.biases = list(params[0::2]), list(params[1::2])
+
     # -- forward / backward ---------------------------------------------------
     def _forward(self, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Run the network, returning hidden activations and output logits."""
         activations = [np.asarray(features, dtype=np.float64)]
         current = activations[0]
         for weight, bias in zip(self.weights[:-1], self.biases[:-1]):
-            current = np.maximum(current @ weight + bias, 0.0)
+            current = np.maximum(current @ weight + bias[..., None, :], 0.0)
             activations.append(current)
-        logits = current @ self.weights[-1] + self.biases[-1]
+        logits = current @ self.weights[-1] + self.biases[-1][..., None, :]
         return activations, logits
 
     def gradients(self, features: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
-        """Backpropagate the regularized cross-entropy loss for a mini-batch."""
+        """Backpropagate the regularized cross-entropy loss for a mini-batch.
+
+        Leading axes are model axes, as in
+        :meth:`repro.ml.linear.SoftmaxRegression.gradients`: with every
+        layer stacked over ``m`` models, ``(m, n, d)`` features and
+        ``(m, n)`` labels, each row is bitwise what the model alone gets.
+        """
         if not self.is_initialized:
             raise ConfigurationError("model is not initialized")
         activations, logits = self._forward(features)
@@ -105,11 +115,12 @@ class MLPClassifier:
         bias_grads: list[np.ndarray] = [np.empty(0)] * len(self.biases)
         for layer in range(len(self.weights) - 1, -1, -1):
             weight_grads[layer] = (
-                activations[layer].T @ delta + self.l2 * self.weights[layer]
+                np.swapaxes(activations[layer], -1, -2) @ delta
+                + self.l2 * self.weights[layer]
             )
-            bias_grads[layer] = delta.sum(axis=0)
+            bias_grads[layer] = delta.sum(axis=-2)
             if layer > 0:
-                delta = delta @ self.weights[layer].T
+                delta = delta @ np.swapaxes(self.weights[layer], -1, -2)
                 delta = delta * (activations[layer] > 0.0)
 
         grads: list[np.ndarray] = []

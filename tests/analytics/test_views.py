@@ -61,6 +61,29 @@ class TestConsistency:
 
 
 class TestOneFold:
+    def test_per_campaign_reference_reads_only_that_campaign(
+        self, filled_store, monkeypatch
+    ):
+        reads = []
+        events = filled_store.events
+
+        def counting(campaign_id, *args, **kwargs):
+            reads.append(campaign_id)
+            return events(campaign_id, *args, **kwargs)
+
+        monkeypatch.setattr(filled_store, "events", counting)
+        campaigns = ("c-alpha", "c-beta", "c-gamma")
+        filterable = [
+            view for view, definition in VIEW_DEFINITIONS.items()
+            if definition.campaign_filterable
+        ]
+        for view in filterable:
+            for cid in campaigns:
+                reference_rows(filled_store, view, cid)
+        # One read per (view, campaign) call: 9 views x 3 campaigns.
+        assert len(reads) == 27
+        assert reads == [cid for _ in filterable for cid in campaigns]
+
     def test_assert_consistent_reads_each_campaign_once(self, tmp_path):
         # All ten reference views share one read of each campaign's log.
         # A file-backed store keeps the mirror's own refresh off events().

@@ -12,6 +12,7 @@ from repro.engine.job import (
     run_training_job,
     stable_seed,
 )
+from repro.experiments.config import fast_training_config
 from repro.ml.data import Dataset
 from repro.ml.train import TrainingConfig
 
@@ -55,6 +56,18 @@ class TestFingerprints:
         )
         assert fingerprint_dataset(Dataset.empty(3)) == (
             "f807224df588d29df551d1e979e678b0dd90b0895a3405b58d1cd3491746d910"
+        )
+
+    def test_job_fingerprint_digests_are_pinned(self, dataset):
+        # Persisted cache rows are keyed by these digests: a change to the
+        # job spec or to TrainingConfig must keep every existing key.
+        job = dict(train=dataset, n_classes=2, seed=7, factory_name="softmax")
+        assert TrainingJob(**job).fingerprint == (
+            "c76d7827f3f3adf2f0215c93456cfa01b26041ee4e5eca605e53521966a96c25"
+        )
+        fast = TrainingJob(trainer_config=fast_training_config(), **job)
+        assert fast.fingerprint == (
+            "a5585113c8492946f551d2fb9dbbc394a54408f104e5444eff9670179f64407e"
         )
 
     def test_job_fingerprint_stable_across_instances(self, dataset):

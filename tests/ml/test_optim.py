@@ -62,7 +62,7 @@ class TestOptimizerState:
         x = np.array([1.0])
         opt.update([x], [np.array([1.0])])
         opt.reset()
-        assert opt._first_moments is None and opt._step == 0
+        assert opt._first_moments is None and opt._step is None
 
     def test_adam_handles_multiple_parameter_arrays(self):
         opt = Adam(learning_rate=0.1)

@@ -7,8 +7,9 @@ import pytest
 
 from repro.ml.data import Dataset
 from repro.ml.linear import SoftmaxRegression
-from repro.ml.train import Trainer, TrainingConfig, fit_lockstep, train_model
+from repro.ml.train import Trainer, TrainingConfig, fit_lockstep
 from repro.utils.exceptions import ConfigurationError
+from tests.ml.training_oracle import train_alone
 
 
 class TestTrainingConfig:
@@ -21,8 +22,6 @@ class TestTrainingConfig:
         [
             {"epochs": 0},
             {"batch_size": 0},
-            {"early_stopping_patience": -1},
-            {"validation_fraction": 1.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -56,56 +55,11 @@ class TestTrainer:
                 SoftmaxRegression(n_classes=2), Dataset.empty(3)
             )
 
-    def test_validation_losses_tracked(self, separable_dataset, fast_training):
-        train = separable_dataset.take(80)
-        validation = separable_dataset.subset(np.arange(80, len(separable_dataset)))
-        model = SoftmaxRegression(n_classes=2, random_state=0)
-        result = Trainer(config=fast_training, random_state=0).fit(
-            model, train, validation
-        )
-        assert len(result.validation_losses) == result.epochs_run
-
-    def test_early_stopping_stops_before_max_epochs(self):
-        # Random labels carry no signal, so validation loss stops improving
-        # almost immediately and the patience criterion must kick in.
-        rng = np.random.default_rng(0)
-        train = Dataset(rng.normal(size=(60, 4)), rng.integers(0, 2, size=60))
-        validation = Dataset(rng.normal(size=(40, 4)), rng.integers(0, 2, size=40))
-        config = TrainingConfig(
-            epochs=200,
-            batch_size=16,
-            learning_rate=0.1,
-            early_stopping_patience=3,
-        )
-        model = SoftmaxRegression(n_classes=2, random_state=0)
-        result = Trainer(config=config, random_state=0).fit(model, train, validation)
-        assert result.stopped_early
-        assert result.epochs_run < 200
-
-    def test_internal_validation_split_used(self, separable_dataset):
-        config = TrainingConfig(
-            epochs=50,
-            batch_size=16,
-            learning_rate=0.1,
-            early_stopping_patience=3,
-            validation_fraction=0.25,
-        )
-        model = SoftmaxRegression(n_classes=2, random_state=0)
-        result = Trainer(config=config, random_state=0).fit(model, separable_dataset)
-        assert len(result.validation_losses) > 0
-
     def test_batch_size_larger_than_dataset(self, separable_dataset):
         config = TrainingConfig(epochs=5, batch_size=10_000, learning_rate=0.1)
         model = SoftmaxRegression(n_classes=2, random_state=0)
         result = Trainer(config=config, random_state=0).fit(model, separable_dataset)
         assert result.epochs_run == 5
-
-    def test_train_model_convenience_wrapper(self, separable_dataset, fast_training):
-        model = SoftmaxRegression(n_classes=2, random_state=0)
-        result = train_model(
-            model, separable_dataset, config=fast_training, random_state=0
-        )
-        assert result.epochs_run == fast_training.epochs
 
 
 class TestLabelCheck:
@@ -148,69 +102,12 @@ class TestFitLockstep:
         results = fit_lockstep(models, datasets, [4, 3, 2, 1], fast_training)
         for model, data, seed, result in zip(models, datasets, [4, 3, 2, 1], results):
             alone = SoftmaxRegression(n_classes=3, random_state=0)
-            expected = Trainer(config=fast_training, random_state=seed).fit(alone, data)
+            expected = train_alone(alone, data, seed, fast_training)
             np.testing.assert_array_equal(model.weights, alone.weights)
             np.testing.assert_array_equal(model.bias, alone.bias)
             assert result == expected
 
-    def test_rejects_early_stopping_and_empty_data(self, separable_dataset):
+    def test_rejects_empty_data(self):
         model = SoftmaxRegression(n_classes=2, random_state=0)
-        stopping = TrainingConfig(early_stopping_patience=2)
-        with pytest.raises(ConfigurationError):
-            fit_lockstep([model], [separable_dataset], [0], stopping)
         with pytest.raises(ConfigurationError):
             fit_lockstep([model], [Dataset.empty(2)], [0], TrainingConfig())
-
-
-class TestRestoreBest:
-    """The ``restore_best`` early-stopping flag (off by default)."""
-
-    @staticmethod
-    def _noisy_split(rng):
-        train = Dataset(rng.normal(size=(60, 4)), rng.integers(0, 2, size=60))
-        validation = Dataset(rng.normal(size=(40, 4)), rng.integers(0, 2, size=40))
-        return train, validation
-
-    def test_default_keeps_post_patience_weights(self, rng):
-        train, validation = self._noisy_split(rng)
-        config = TrainingConfig(
-            epochs=200, batch_size=16, learning_rate=0.1, early_stopping_patience=3
-        )
-        model = SoftmaxRegression(n_classes=2, random_state=0)
-        result = Trainer(config=config, random_state=0).fit(model, train, validation)
-        assert result.stopped_early and not result.restored_best
-        # The final weights correspond to the *last* epoch, not the best one.
-        assert model.loss(validation) == pytest.approx(result.validation_losses[-1])
-
-    def test_restore_best_restores_best_epoch_parameters(self, rng):
-        train, validation = self._noisy_split(rng)
-        config = TrainingConfig(
-            epochs=200,
-            batch_size=16,
-            learning_rate=0.1,
-            early_stopping_patience=3,
-            restore_best=True,
-        )
-        model = SoftmaxRegression(n_classes=2, random_state=0)
-        result = Trainer(config=config, random_state=0).fit(model, train, validation)
-        assert result.stopped_early and result.restored_best
-        assert result.best_epoch is not None
-        best_loss = min(result.validation_losses)
-        assert result.validation_losses[result.best_epoch - 1] == pytest.approx(best_loss)
-        assert model.loss(validation) == pytest.approx(best_loss)
-        assert model.loss(validation) <= result.validation_losses[-1]
-
-    def test_best_epoch_tracked_without_restore(self, separable_dataset, fast_training):
-        train = separable_dataset.take(80)
-        validation = separable_dataset.subset(np.arange(80, len(separable_dataset)))
-        model = SoftmaxRegression(n_classes=2, random_state=0)
-        result = Trainer(config=fast_training, random_state=0).fit(
-            model, train, validation
-        )
-        assert result.best_epoch is not None and not result.restored_best
-
-    def test_restore_best_without_early_stopping_is_inert(self, separable_dataset):
-        config = TrainingConfig(epochs=5, batch_size=16, restore_best=True)
-        model = SoftmaxRegression(n_classes=2, random_state=0)
-        result = Trainer(config=config, random_state=0).fit(model, separable_dataset)
-        assert not result.restored_best

@@ -334,6 +334,35 @@ class TestJsonOutput:
         assert {"iteration", "completed"} <= kinds
 
 
+    def test_campaign_show_reads_the_log_once(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        from repro.campaigns.store import SqliteStore
+
+        store = str(tmp_path / "camp.sqlite")
+        assert main(
+            ["campaign", "start", "--name", "once", *CAMPAIGN_FAST,
+             "--store", store, "--quiet"]
+        ) == 0
+        capsys.readouterr()
+        assert main(["campaign", "list", "--store", store, "--json"]) == 0
+        campaign_id = json.loads(capsys.readouterr().out)["campaigns"][0]["campaign_id"]
+
+        reads = []
+        events = SqliteStore.events
+
+        def counting(self, *args, **kwargs):
+            reads.append(args)
+            return events(self, *args, **kwargs)
+
+        monkeypatch.setattr(SqliteStore, "events", counting)
+        assert main(
+            ["campaign", "show", campaign_id, "--store", store, "--json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["events"]
+        assert len(reads) == 1
+
+
 class TestCacheCommand:
     """The persistent shared cache: --cache-dir plumbing + the cache family."""
 
