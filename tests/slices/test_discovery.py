@@ -5,8 +5,8 @@ The load-bearing guarantees tested here:
 * every built-in method is **seeded and deterministic** — two fits on the
   same data with the same config produce byte-identical slice specs and the
   same content fingerprint;
-* the ``"auto"`` method's partition of a fixed pool is pinned (same leaves,
-  same names, same fingerprint);
+* the ``"auto"`` and ``"stump"`` methods' partitions of a fixed pool are
+  pinned (same leaves, same names, same fingerprint);
 * ``transform`` produces a valid partition (no overlap, full coverage) and
   preserves every row;
 * a dynamic (``reslice_every``) tuner run is byte-identical across the
@@ -182,6 +182,36 @@ def test_auto_method_partition_is_pinned(tiny_sliced):
         (name, len(discovered[name].train)) for name in discovered.names
     ) == AUTO_PINNED_LEAVES
     assert method.fingerprint() == AUTO_PINNED_FINGERPRINT
+
+
+#: The ``"stump"`` partition of ``tiny_sliced``'s training pool under fixed
+#: predictions (wrong wherever ``x0 + x1 > 1``), so no training or BLAS is
+#: involved.  The unbalanced tree shows best-first growth (the leaf with the
+#: most errors splits next) and the left-first region numbering.
+STUMP_PINNED_LEAVES = (
+    ("root/x2<=1.454/x0<=0.737/x1<=2.331", 12),
+    ("root/x2<=1.454/x0<=0.737/x1>2.331", 14),
+    ("root/x2<=1.454/x0>0.737", 54),
+    ("root/x2>1.454/x1<=1.242", 27),
+    ("root/x2>1.454/x1>1.242", 13),
+)
+STUMP_PINNED_FINGERPRINT = (
+    "3bac15aa0eca581bf7de8de15fabfa80a934cc57020fb4912c3d982024a8fa56"
+)
+
+
+def test_stump_method_partition_is_pinned(tiny_sliced):
+    pool = tiny_sliced.combined_train()
+    x = pool.features
+    predictions = np.where(
+        x[:, 0] + x[:, 1] > 1.0, (pool.labels + 1) % 3, pool.labels
+    )
+    method = get_discovery_method("stump", max_slices=5, min_slice_size=10)
+    discovered = method.fit(None, pool, predictions=predictions).transform(pool)
+    assert tuple(
+        (name, len(discovered[name].train)) for name in discovered.names
+    ) == STUMP_PINNED_LEAVES
+    assert method.fingerprint() == STUMP_PINNED_FINGERPRINT
 
 
 # -- transform ---------------------------------------------------------------------
