@@ -423,14 +423,6 @@ class Campaign:
             )
         return self._result
 
-    def partial_result(self) -> TuningResult | None:
-        """The in-flight result of a live run (None before it starts)."""
-        if self._result is not None:
-            return self._result
-        if self.session is not None:
-            return self.session.result()
-        return None
-
     # -- driving -----------------------------------------------------------------
     def run(self, max_steps: int | None = None) -> TuningResult | None:
         """Drive the campaign to completion (or pause), persisting each step.

@@ -167,7 +167,30 @@ class SliceDiscoveryMethod(ABC):
     def _boundary_payload(self) -> object:
         """JSON-serializable description of the fitted boundaries."""
 
-    # -- fitted-state helpers --------------------------------------------------
+    # -- helpers ---------------------------------------------------------------
+    @staticmethod
+    def _error_indicator(method: str, model, dataset: Dataset, predictions):
+        """1.0 for each row of ``dataset`` the model gets wrong, else 0.0.
+
+        The hard labels are ``predictions``, else ``model.predict``;
+        ``method`` names the caller in the error raised without either.
+        """
+        if len(dataset) == 0:
+            raise ConfigurationError("cannot discover slices on an empty dataset")
+        if predictions is None:
+            if model is None:
+                raise ConfigurationError(
+                    f"{method} discovery needs a model or precomputed predictions"
+                )
+            predictions = model.predict(dataset.features)
+        predictions = np.asarray(predictions)
+        if predictions.shape != dataset.labels.shape:
+            raise ConfigurationError(
+                f"predictions shape {predictions.shape} does not match "
+                f"labels shape {dataset.labels.shape}"
+            )
+        return (predictions != dataset.labels).astype(np.float64)
+
     def _mark_fitted(self) -> "SliceDiscoveryMethod":
         self._fitted = True
         self._specs = None

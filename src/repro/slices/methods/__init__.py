@@ -11,6 +11,10 @@ import.
   in feature space.
 * :mod:`~repro.slices.methods.auto` — ``"auto"``: the Appendix-A
   label-entropy recursive slicer.
+
+``"stump"`` and ``"auto"`` are one split tree
+(:mod:`~repro.slices.methods.tree`) with two impurities and two growth
+orders.
 """
 
 from repro._lazy import lazy_exports

@@ -23,6 +23,7 @@ import numpy as np
 from repro.ml.data import Dataset
 from repro.slices.discovery import SliceDiscoveryMethod, register_discovery_method
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.validation import check_positive_int
 
 
 @register_discovery_method(
@@ -41,35 +42,15 @@ class ErrorKMeansDiscovery(SliceDiscoveryMethod):
         seed: int = 0
 
         def __post_init__(self) -> None:
-            if self.n_slices < 1:
-                raise ConfigurationError(
-                    f"n_slices must be >= 1, got {self.n_slices}"
-                )
-            if self.n_iterations < 1:
-                raise ConfigurationError(
-                    f"n_iterations must be >= 1, got {self.n_iterations}"
-                )
+            check_positive_int(self.n_slices, "n_slices")
+            check_positive_int(self.n_iterations, "n_iterations")
             if self.error_weight < 0:
                 raise ConfigurationError(
                     f"error_weight must be >= 0, got {self.error_weight}"
                 )
 
     def fit(self, model, dataset: Dataset, predictions=None):
-        if len(dataset) == 0:
-            raise ConfigurationError("cannot discover slices on an empty dataset")
-        if predictions is None:
-            if model is None:
-                raise ConfigurationError(
-                    "kmeans discovery needs a model or precomputed predictions"
-                )
-            predictions = model.predict(dataset.features)
-        predictions = np.asarray(predictions)
-        if predictions.shape != dataset.labels.shape:
-            raise ConfigurationError(
-                f"predictions shape {predictions.shape} does not match "
-                f"labels shape {dataset.labels.shape}"
-            )
-        errors = (predictions != dataset.labels).astype(np.float64)
+        errors = self._error_indicator("kmeans", model, dataset, predictions)
 
         self._mean = dataset.features.mean(axis=0)
         self._std = np.maximum(dataset.features.std(axis=0), 1e-9)

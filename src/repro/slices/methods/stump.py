@@ -1,27 +1,26 @@
 """Error-driven feature-threshold rule induction (``"stump"``).
 
 Grows a small decision tree of axis-aligned stumps over the
-*misclassification indicator*: starting from the whole dataset, the leaf
-carrying the most misclassified examples is repeatedly split on the
-(feature, threshold) pair that most reduces the binary entropy of the
-error indicator, until ``max_slices`` leaves exist or no split helps.  The
-leaves are regions where the model's error behaviour is homogeneous —
-exactly the slices worth tuning acquisition for.
-
-The search is fully deterministic: candidate thresholds are feature
-quantiles, ties keep the first candidate in (feature, threshold) order, and
-no random numbers are drawn.
+*misclassification indicator*: the leaf carrying the most misclassified
+examples (the earliest-created one on ties) is repeatedly split on the
+(feature, threshold) pair that most reduces the binary entropy of the error
+indicator, until ``max_slices`` leaves exist or no split helps.  The leaves
+are regions where the model's error behaviour is homogeneous — exactly the
+slices worth tuning acquisition for.  The tree is the one in
+:mod:`repro.slices.methods.tree`, shared with ``"auto"``; regions are
+numbered left-first, and no random numbers are drawn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ml.data import Dataset
-from repro.slices.discovery import SliceDiscoveryMethod, register_discovery_method
-from repro.utils.exceptions import ConfigurationError
+from repro.slices.discovery import register_discovery_method
+from repro.slices.methods.tree import _SplitTree
+from repro.utils.validation import check_positive_int
 
 
 def _binary_entropy(p: float) -> float:
@@ -30,30 +29,12 @@ def _binary_entropy(p: float) -> float:
     return float(-p * np.log(p) - (1.0 - p) * np.log(1.0 - p))
 
 
-@dataclass
-class _Node:
-    name: str
-    depth: int
-    order: int
-    indices: np.ndarray | None = None
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    region: int = -1
-    splittable: bool = field(default=True)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 @register_discovery_method(
     "stump",
     aliases=("error_stump", "rules"),
     description="error-driven rule induction (stumps over misclassifications)",
 )
-class ErrorStumpDiscovery(SliceDiscoveryMethod):
+class ErrorStumpDiscovery(_SplitTree):
     """Decision stumps over the misclassification indicator."""
 
     @dataclass(frozen=True)
@@ -64,167 +45,16 @@ class ErrorStumpDiscovery(SliceDiscoveryMethod):
         seed: int = 0
 
         def __post_init__(self) -> None:
-            if self.max_slices < 1:
-                raise ConfigurationError(
-                    f"max_slices must be >= 1, got {self.max_slices}"
-                )
-            if self.min_slice_size < 1:
-                raise ConfigurationError(
-                    f"min_slice_size must be >= 1, got {self.min_slice_size}"
-                )
-            if self.n_thresholds < 1:
-                raise ConfigurationError(
-                    f"n_thresholds must be >= 1, got {self.n_thresholds}"
-                )
+            check_positive_int(self.max_slices, "max_slices")
+            check_positive_int(self.min_slice_size, "min_slice_size")
+            check_positive_int(self.n_thresholds, "n_thresholds")
 
     def fit(self, model, dataset: Dataset, predictions=None):
-        if len(dataset) == 0:
-            raise ConfigurationError("cannot discover slices on an empty dataset")
-        if predictions is None:
-            if model is None:
-                raise ConfigurationError(
-                    "stump discovery needs a model or precomputed predictions"
-                )
-            predictions = model.predict(dataset.features)
-        predictions = np.asarray(predictions)
-        if predictions.shape != dataset.labels.shape:
-            raise ConfigurationError(
-                f"predictions shape {predictions.shape} does not match "
-                f"labels shape {dataset.labels.shape}"
-            )
-        errors = (predictions != dataset.labels).astype(np.float64)
-        features = dataset.features
-
-        root = _Node(name="root", depth=0, order=0, indices=np.arange(len(dataset)))
-        leaves = [root]
-        next_order = 1
-        while len(leaves) < self.config.max_slices:
-            # Split the splittable leaf carrying the most misclassified
-            # examples; ties break toward the earliest-created leaf.
-            candidates = [leaf for leaf in leaves if leaf.splittable]
-            if not candidates:
-                break
-            candidates.sort(key=lambda leaf: (-errors[leaf.indices].sum(), leaf.order))
-            leaf = candidates[0]
-            split = self._best_split(features, errors, leaf.indices)
-            if split is None:
-                leaf.splittable = False
-                continue
-            feature, threshold, left_rows, right_rows = split
-            leaf.feature = feature
-            leaf.threshold = threshold
-            leaf.left = _Node(
-                name=f"{leaf.name}/x{feature}<={threshold:.3f}",
-                depth=leaf.depth + 1,
-                order=next_order,
-                indices=leaf.indices[left_rows],
-            )
-            leaf.right = _Node(
-                name=f"{leaf.name}/x{feature}>{threshold:.3f}",
-                depth=leaf.depth + 1,
-                order=next_order + 1,
-                indices=leaf.indices[right_rows],
-            )
-            next_order += 2
-            leaves.remove(leaf)
-            leaves.extend([leaf.left, leaf.right])
-
-        # Number the leaves by a left-first depth-first walk so region ids
-        # are independent of the growth order above.
-        self._root = root
-        self._leaves: list[_Node] = []
-        self._number_leaves(root)
-        for node in self._walk(root):
-            node.indices = None  # fitted trees do not pin the training data
-        return self._mark_fitted()
-
-    def _best_split(
-        self, features: np.ndarray, errors: np.ndarray, indices: np.ndarray
-    ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-        min_size = self.config.min_slice_size
-        n = len(indices)
-        if n < 2 * min_size:
-            return None
-        parent = _binary_entropy(float(errors[indices].mean()))
-        if parent <= 0.0:
-            return None
-        best: tuple[float, int, float, np.ndarray, np.ndarray] | None = None
-        quantiles = np.append(
-            np.linspace(0.1, 0.9, self.config.n_thresholds), 0.5
+        errors = self._error_indicator("stump", model, dataset, predictions)
+        return self._grow(
+            dataset.features,
+            lambda rows: _binary_entropy(float(errors[rows].mean())),
+            lambda node: (-errors[node.rows].sum(), node.order),
+            floor=0.0,
+            max_leaves=self.config.max_slices,
         )
-        for feature in range(features.shape[1]):
-            column = features[indices, feature]
-            for threshold in np.unique(np.quantile(column, quantiles)):
-                left_mask = column <= threshold
-                n_left = int(left_mask.sum())
-                n_right = n - n_left
-                if n_left < min_size or n_right < min_size:
-                    continue
-                left_rate = float(errors[indices[left_mask]].mean())
-                right_rate = float(errors[indices[~left_mask]].mean())
-                children = (
-                    n_left * _binary_entropy(left_rate)
-                    + n_right * _binary_entropy(right_rate)
-                ) / n
-                gain = parent - children
-                if gain <= 1e-9:
-                    continue
-                if best is None or gain > best[0]:
-                    best = (
-                        gain,
-                        feature,
-                        float(threshold),
-                        np.nonzero(left_mask)[0],
-                        np.nonzero(~left_mask)[0],
-                    )
-        if best is None:
-            return None
-        _, feature, threshold, left_rows, right_rows = best
-        return feature, threshold, left_rows, right_rows
-
-    # -- tree plumbing ---------------------------------------------------------
-    def _number_leaves(self, node: _Node) -> None:
-        if node.is_leaf:
-            node.region = len(self._leaves)
-            self._leaves.append(node)
-            return
-        self._number_leaves(node.left)
-        self._number_leaves(node.right)
-
-    def _walk(self, node: _Node):
-        yield node
-        if not node.is_leaf:
-            yield from self._walk(node.left)
-            yield from self._walk(node.right)
-
-    def _assign_regions(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        out = np.zeros(len(features), dtype=np.int64)
-        self._route(self._root, np.arange(len(features)), features, out)
-        return out
-
-    def _route(
-        self, node: _Node, rows: np.ndarray, features: np.ndarray, out: np.ndarray
-    ) -> None:
-        if node.is_leaf:
-            out[rows] = node.region
-            return
-        mask = features[rows, node.feature] <= node.threshold
-        self._route(node.left, rows[mask], features, out)
-        self._route(node.right, rows[~mask], features, out)
-
-    def _region_names(self) -> list[str]:
-        return [leaf.name for leaf in self._leaves]
-
-    def _boundary_payload(self) -> object:
-        def serialize(node: _Node) -> dict:
-            if node.is_leaf:
-                return {"region": node.region, "name": node.name}
-            return {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": serialize(node.left),
-                "right": serialize(node.right),
-            }
-
-        return serialize(self._root)

@@ -107,6 +107,23 @@ def test_invalid_config_kwargs_raise():
         get_discovery_method("kmeans", n_slices=0)
 
 
+@pytest.mark.parametrize(
+    ("name", "knob", "value"),
+    (
+        ("stump", "n_thresholds", 2.5),
+        ("stump", "max_slices", 2.5),
+        ("stump", "min_slice_size", 2.5),
+        ("stump", "max_slices", 0),
+        ("kmeans", "n_slices", 2.5),
+        ("kmeans", "n_iterations", 1.5),
+        ("auto", "max_depth", 1.5),
+    ),
+)
+def test_integer_knobs_reject_non_integers(name, knob, value):
+    with pytest.raises(ConfigurationError, match=knob):
+        get_discovery_method(name, **{knob: value})
+
+
 def test_unfitted_method_refuses_everything(tiny_sliced):
     method = get_discovery_method("kmeans")
     with pytest.raises(ConfigurationError, match="fit"):
