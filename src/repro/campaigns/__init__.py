@@ -17,6 +17,19 @@ API:
 
 from repro._lazy import lazy_exports
 
+#: Campaign lifecycle states (here, so a client can test one without the store).
+PENDING = "pending"
+RUNNING = "running"
+PAUSED = "paused"
+COMPLETED = "completed"
+FAILED = "failed"
+
+#: Statuses a campaign can be resumed from (``completed`` replays its result).
+RESUMABLE = (PENDING, RUNNING, PAUSED, FAILED)
+
+#: Statuses that end a live event stream (a paused campaign may resume later).
+TERMINAL_STATUSES = (COMPLETED, FAILED, PAUSED)
+
 _EXPORTS = {
     "Campaign": ".campaign",
     "CampaignEvent": ".store",
@@ -31,12 +44,6 @@ _EXPORTS = {
     "build_campaign_tuner": ".campaign",
     "campaign_summary": ".store",
     "replay_events": ".store",
-    "COMPLETED": ".store",
-    "FAILED": ".store",
-    "PAUSED": ".store",
-    "PENDING": ".store",
-    "RESUMABLE": ".store",
-    "RUNNING": ".store",
 }
-__all__ = list(_EXPORTS)
+__all__ = [*_EXPORTS, "COMPLETED", "FAILED", "PAUSED", "PENDING", "RESUMABLE", "RUNNING"]
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

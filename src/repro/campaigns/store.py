@@ -44,25 +44,13 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
 
+from repro.campaigns import (  # noqa: F401 - the lifecycle states, re-exported
+    COMPLETED, FAILED, PAUSED, PENDING, RESUMABLE, RUNNING, TERMINAL_STATUSES,
+)
 from repro.utils.exceptions import CampaignError
-
-#: Campaign lifecycle states.
-PENDING = "pending"
-RUNNING = "running"
-PAUSED = "paused"
-COMPLETED = "completed"
-FAILED = "failed"
-
-#: Statuses a campaign can be resumed from (``completed`` simply replays
-#: its stored result).
-RESUMABLE = (PENDING, RUNNING, PAUSED, FAILED)
 
 #: ``CampaignSpec.budget`` when the stored spec omits it.
 DEFAULT_BUDGET = 500.0
-
-#: Store statuses that end a live event stream (a paused campaign may be
-#: resumed later; the client reconnects with its cursor).
-TERMINAL_STATUSES = (COMPLETED, FAILED, PAUSED)
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,13 @@ without a JSON form returns its text.  Streaming commands (``remote tail``,
 ``monitor watch``, ``serve``, the campaign progress lines) print as they go.
 
 Start-up pays only for what a command uses: this module imports the stdlib
-plus the dependency-free ``repro.telemetry`` and ``repro.utils`` leaves, and
-each ``run_*`` handler imports the subsystem it drives.  Registry-backed
-options validate through argparse ``type=`` functions, which argparse calls
-only for the subcommand being parsed, so ``remote list`` or ``report`` never
-load numpy.
+and ``repro.utils`` only, each ``run_*`` handler imports the subsystem it
+drives (``repro.telemetry`` too, for ``--trace-out`` and the ``telemetry``
+leaves), and ``main`` builds the parser of the one leaf on the command line
+(help and usage errors re-parse with the full parser, so they list every
+command).  Registry-backed options validate through argparse ``type=``
+functions, which argparse calls only for the leaf being parsed, so
+``remote list`` or ``report`` never load numpy.
 
 Examples::
 
@@ -126,11 +128,10 @@ import signal
 import sys
 import threading
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from repro import telemetry
 from repro.utils.exceptions import ConfigurationError, ReproError
 from repro.utils.tables import format_table
 
@@ -1219,6 +1220,8 @@ def run_cache_gc(args: argparse.Namespace) -> Reply:
 
 def run_telemetry_spans(args: argparse.Namespace) -> Reply:
     """``telemetry spans``: the recorded span log (newest last)."""
+    from repro import telemetry
+
     trace_dir = _require_trace_dir(args)
     spans = telemetry.read_spans(trace_dir)
     if args.span_name is not None:
@@ -1252,6 +1255,8 @@ def run_telemetry_spans(args: argparse.Namespace) -> Reply:
 
 def _quantiles(snapshot: dict) -> dict:
     """Bucket-interpolated quantiles of every histogram in a metrics snapshot."""
+    from repro import telemetry
+
     return {
         name: telemetry.histogram_quantiles(data)
         for name, data in sorted(snapshot.get("histograms", {}).items())
@@ -1260,6 +1265,8 @@ def _quantiles(snapshot: dict) -> dict:
 
 def run_telemetry_metrics(args: argparse.Namespace) -> Reply:
     """``telemetry metrics``: the merged counter/gauge/histogram snapshot."""
+    from repro import telemetry
+
     trace_dir = _require_trace_dir(args)
     snapshot = telemetry.read_metrics(trace_dir)
     quantiles = _quantiles(snapshot)
@@ -1302,6 +1309,8 @@ def run_telemetry_metrics(args: argparse.Namespace) -> Reply:
 
 def run_telemetry_summary(args: argparse.Namespace) -> Reply:
     """``telemetry summary``: per-span-name timing rollup plus latency quantiles."""
+    from repro import telemetry
+
     trace_dir = _require_trace_dir(args)
     total, summary = telemetry.summarize_spans(telemetry.read_spans(trace_dir))
     metrics = telemetry.read_metrics(trace_dir)
@@ -1366,7 +1375,6 @@ def run_report(args: argparse.Namespace) -> Reply:
     exits 2 on the first mismatch.
     """
     from repro.analytics import Analytics, assert_consistent
-    from repro.experiments.reporting import report_tables
 
     with _existing_store(args) as store:
         with Analytics(store, path=args.analytics_path) as analytics:
@@ -1383,6 +1391,8 @@ def run_report(args: argparse.Namespace) -> Reply:
             if verified is not None:
                 line += f" — verified {sum(verified.values())} view row(s)"
             return line
+        from repro.experiments.reporting import report_tables
+
         output = report_tables(payload)
         if verified is not None:
             output += (
@@ -1646,6 +1656,7 @@ def run_serve(args: argparse.Namespace) -> str:
     from repro.campaigns import SqliteStore
     from repro.experiments.reporting import server_stats_table, server_status_line
     from repro.serve import TunerServer, TunerService
+    from repro.telemetry import flush_metrics
 
     store = SqliteStore(args.store)
     result_cache = _build_result_cache(args)
@@ -1681,7 +1692,7 @@ def run_serve(args: argparse.Namespace) -> str:
         # keep the benign signal handlers installed through it: a second
         # SIGTERM mid-drain must not kill the process with the telemetry
         # still buffered in memory.
-        telemetry.flush_metrics()
+        flush_metrics()
         stats = app.server_stats()
         summary = app.drain()
         server.shutdown()
@@ -1738,20 +1749,18 @@ def run_remote_list(args: argparse.Namespace) -> Reply:
 
 def run_remote_show(args: argparse.Namespace) -> Reply:
     """``remote show``: one campaign's progress plus the daemon's health table."""
-    from repro.experiments.reporting import server_stats_table
-
     client = _client(args)
     summary = client.show(args.campaign_id)
     stats = client.stats()
-    return Reply(
-        "repro.remote.show/1",
-        {"campaign": summary, "stats": stats},
-        lambda: (
-            _show_quiet(summary)
-            if args.quiet
-            else _campaign_header(summary, progress=True) + server_stats_table(stats)
-        ),
-    )
+
+    def text() -> str:
+        if args.quiet:
+            return _show_quiet(summary)
+        from repro.experiments.reporting import server_stats_table
+
+        return _campaign_header(summary, progress=True) + server_stats_table(stats)
+
+    return Reply("repro.remote.show/1", {"campaign": summary, "stats": stats}, text)
 
 
 def run_remote_tail(args: argparse.Namespace) -> Reply:
@@ -1843,18 +1852,16 @@ def run_remote_resume(args: argparse.Namespace) -> Reply:
 
 def run_remote_stats(args: argparse.Namespace) -> Reply:
     """``remote stats``: the daemon's health table."""
-    from repro.experiments.reporting import server_stats_table, server_status_line
-
     stats = _client(args).stats()
-    return Reply(
-        "repro.remote.stats/1",
-        {"url": args.url, "stats": stats},
-        lambda: (
-            server_status_line(stats)
-            if args.quiet
-            else server_stats_table(stats, title=f"Tuner service health — {args.url}")
-        ),
-    )
+
+    def text() -> str:
+        from repro.experiments.reporting import server_stats_table, server_status_line
+
+        if args.quiet:
+            return server_status_line(stats)
+        return server_stats_table(stats, title=f"Tuner service health — {args.url}")
+
+    return Reply("repro.remote.stats/1", {"url": args.url, "stats": stats}, text)
 
 
 def run_strategies(args: argparse.Namespace) -> Reply:
@@ -2258,19 +2265,26 @@ LEAVES = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _RaisingParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise instead of printing and exiting."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser(leaves=LEAVES, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Build the top-level argument parser from :data:`LEAVES`.
 
     Each leaf's subparser carries its handler (``args.handler``) and its
-    path (``args.leaf``) as defaults.
+    path (``args.leaf``) as defaults.  ``main`` first builds one of the named leaf alone.
     """
-    parser = argparse.ArgumentParser(
+    parser = parser_class(
         prog="repro",
         description="Slice Tuner: selective data acquisition (SIGMOD 2021 reproduction)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for path, handler, help_text, flags in LEAVES:
+    for path, handler, help_text, flags in leaves:
         *group, name = path.split()
         subparsers = commands
         if group:
@@ -2294,14 +2308,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     invalid flag combinations — the same code argparse uses for parse
     errors).  Unexpected exceptions propagate as tracebacks.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named leaf's parser is built; help and usage errors come from
+    # the full parser, so they list every command as before.
+    leaf = [entry for entry in LEAVES if argv[: len(entry[0].split())] == entry[0].split()]
+    args = None
+    if leaf and not {"-h", "--help"} & set(argv):
+        with suppress(argparse.ArgumentError):
+            args = build_parser(leaf, _RaisingParser).parse_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     # Tracing lifecycle: commands that declare --trace-out get a live
     # tracer plus a fresh metrics registry for their whole run (so the
     # written snapshot covers exactly this command); shutdown flushes the
     # metrics next to the span log even when the command errors out.
     trace_dir = _resolve_trace_dir(args)
-    previous_registry = None
     if trace_dir is not None:
+        from repro import telemetry
+
         telemetry.configure(trace_dir=trace_dir)
         previous_registry = telemetry.set_registry(telemetry.MetricsRegistry())
     try:

@@ -4,10 +4,11 @@
 what the CLI ``remote`` commands, the CI serve-smoke job, and the tests
 drive the daemon with.  Highlights:
 
-* **Error mapping** — HTTP error responses (and unreachable daemons) raise
-  :class:`~repro.utils.exceptions.ServeError` carrying the server's message
-  and status code, so the CLI's ``ReproError -> exit 2`` convention covers
-  remote failures too.
+* **Error mapping** — HTTP error responses (and unreachable daemons or
+  malformed URLs) raise :class:`~repro.utils.exceptions.ServeError` carrying
+  the server's message and status code, so the CLI's ``ReproError -> exit 2``
+  convention covers remote failures too.  Ids and query values are
+  percent-encoded, so no id can break a request line.
 * **Cursor-aware tailing** — :meth:`TunerClient.tail` parses the SSE stream
   into plain dicts and tracks :attr:`last_event_id`; after a disconnect,
   calling ``tail`` again resumes from the cursor (``Last-Event-ID``), and
@@ -16,15 +17,15 @@ drive the daemon with.  Highlights:
 
 from __future__ import annotations
 
+import http.client
 import json
-import socket
 import time
 import urllib.error
 import urllib.request
 from typing import Any, Iterator, Mapping
+from urllib.parse import quote
 
-from repro.campaigns.store import COMPLETED, FAILED
-from repro.serve.stream import END_EVENT, parse_sse_stream
+from repro.campaigns import COMPLETED, FAILED
 from repro.utils.exceptions import ServeError
 
 
@@ -61,10 +62,10 @@ class TunerClient:
         if body is not None:
             data = json.dumps(dict(body)).encode("utf-8")
             request_headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=request_headers, method=method
-        )
         try:
+            request = urllib.request.Request(
+                self.base_url + path, data=data, headers=request_headers, method=method
+            )
             response = urllib.request.urlopen(request, timeout=self.timeout)
         except urllib.error.HTTPError as error:
             detail = ""
@@ -82,7 +83,8 @@ class TunerClient:
             served.status = error.code  # type: ignore[attr-defined]
             served.body = parsed  # type: ignore[attr-defined]
             raise served from None
-        except (urllib.error.URLError, socket.timeout, OSError) as error:
+        except (OSError, ValueError, http.client.InvalidURL) as error:
+            # OSError covers URLError and timeouts; a malformed URL raises the others.
             raise ServeError(
                 f"cannot reach the tuner service at {self.base_url}: {error}"
             ) from None
@@ -128,7 +130,7 @@ class TunerClient:
         """``GET /alerts``: the durable, replayed alert history."""
         path = "/alerts"
         if campaign_id is not None:
-            path += f"?campaign_id={campaign_id}"
+            path += f"?campaign_id={quote(campaign_id, safe='')}"
         return self._request("GET", path)
 
     def stats(self) -> dict[str, Any]:
@@ -153,11 +155,11 @@ class TunerClient:
 
     def pause(self, campaign_id: str) -> dict[str, Any]:
         """``POST /campaigns/<id>/pause``."""
-        return self._request("POST", f"/campaigns/{campaign_id}/pause", body={})
+        return self._request("POST", f"/campaigns/{quote(campaign_id, safe='')}/pause", body={})
 
     def resume(self, campaign_id: str) -> dict[str, Any]:
         """``POST /campaigns/<id>/resume``."""
-        return self._request("POST", f"/campaigns/{campaign_id}/resume", body={})
+        return self._request("POST", f"/campaigns/{quote(campaign_id, safe='')}/resume", body={})
 
     def resume_all(self) -> list[str]:
         """``POST /resume``: re-activate every unfinished stored campaign."""
@@ -170,15 +172,15 @@ class TunerClient:
 
     def show(self, campaign_id: str) -> dict[str, Any]:
         """``GET /campaigns/<id>``."""
-        return self._request("GET", f"/campaigns/{campaign_id}")
+        return self._request("GET", f"/campaigns/{quote(campaign_id, safe='')}")
 
     def result(self, campaign_id: str) -> dict[str, Any]:
         """``GET /campaigns/<id>/result`` (ServeError with 409 until done)."""
-        return self._request("GET", f"/campaigns/{campaign_id}/result")["result"]
+        return self._request("GET", f"/campaigns/{quote(campaign_id, safe='')}/result")["result"]
 
     def log(self, campaign_id: str) -> list[dict[str, Any]]:
         """``GET /campaigns/<id>/log``: the replayed event log."""
-        return list(self._request("GET", f"/campaigns/{campaign_id}/log")["events"])
+        return list(self._request("GET", f"/campaigns/{quote(campaign_id, safe='')}/log")["events"])
 
     def report(
         self, kind: str = "summary", campaign_id: str | None = None
@@ -188,9 +190,10 @@ class TunerClient:
         Returns the schema-tagged ``repro.report/1`` payload — identical to
         what ``cli report <kind> --json`` prints against the same store.
         """
+        query = f"?kind={quote(kind, safe='')}"
         if campaign_id is None:
-            return self._request("GET", f"/reports/summary?kind={kind}")
-        return self._request("GET", f"/campaigns/{campaign_id}/report?kind={kind}")
+            return self._request("GET", f"/reports/summary{query}")
+        return self._request("GET", f"/campaigns/{quote(campaign_id, safe='')}/report{query}")
 
     def wait(
         self, campaign_id: str, timeout: float = 300.0, poll: float = 0.2
@@ -223,6 +226,8 @@ class TunerClient:
         ``reconnect > 0``, dropped connections are retried that many times
         from the cursor instead of raising.
         """
+        from repro.serve.stream import END_EVENT, parse_sse_stream
+
         cursor = self.last_event_id if after is None else int(after)
         self.last_event_id = cursor
         attempts_left = int(reconnect)
@@ -230,7 +235,7 @@ class TunerClient:
             try:
                 response = self._request(
                     "GET",
-                    f"/campaigns/{campaign_id}/events",
+                    f"/campaigns/{quote(campaign_id, safe='')}/events",
                     headers={"Last-Event-ID": str(self.last_event_id)},
                     stream=True,
                 )

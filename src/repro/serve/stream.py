@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, IO, Iterator
 
-from repro.campaigns.store import TERMINAL_STATUSES
+from repro.campaigns import TERMINAL_STATUSES
 from repro.telemetry import get_registry
 from repro.utils.exceptions import ServeError
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro import cli
 
 from tests.serve.conftest import run_in_process, tiny_spec
@@ -104,6 +106,27 @@ def test_remote_errors_exit_2(served, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A space in an id is percent-encoded; nothing listens on port 9.
+        ["remote", "show", "a b", "--json", "--url", "http://127.0.0.1:9"],
+        ["remote", "list", "--json", "--url", "http://127.0.0.1:notaport"],
+    ],
+)
+def test_malformed_remote_input_exits_2(capsys, argv):
+    assert cli.main([*argv, "--timeout", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_an_id_that_needs_quoting_reaches_the_daemon(served, capsys):
+    _, server, _ = served
+    assert cli.main(["remote", "show", "a b?kind=x", "--url", server.url]) == 2
+    assert "HTTP 404" in capsys.readouterr().err
 
 
 def test_remote_pause_resume_roundtrip(served, capsys):

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(repro.__file__).resolve().parent.parent
 
 #: Runs ``repro.cli`` as ``python -m`` would, then reports the exit code and
-#: the top-level packages loaded as the last line of stdout.
+#: the names of the modules loaded as the last line of stdout.
 CLI_PROBE = """
 import json, runpy, sys
 sys.argv = ["repro", *{argv!r}]
@@ -37,8 +37,7 @@ try:
     runpy.run_module("repro.cli", run_name="__main__")
 except SystemExit as exit:
     code = exit.code
-roots = sorted({{name.split(".")[0] for name in sys.modules}})
-print(json.dumps({{"code": code, "roots": roots}}))
+print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
 """
 
 #: Every registry's listing, as one JSON object on stdout.
@@ -64,20 +63,45 @@ def fresh(code: str) -> subprocess.CompletedProcess:
     return done
 
 
+def roots(modules: set[str]) -> set[str]:
+    """The top-level packages of ``modules``."""
+    return {name.split(".")[0] for name in modules}
+
+
+def within(modules: set[str], package: str) -> set[str]:
+    """The modules of ``modules`` that are ``package`` or lie inside it."""
+    return {name for name in modules if name == package or name.startswith(package + ".")}
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """Names in ``sys.modules`` after ``statement``."""
+    done = fresh(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))")
+    return set(json.loads(done.stdout.strip().splitlines()[-1]))
+
+
 def loaded_by(statement: str) -> set[str]:
     """Top-level packages in ``sys.modules`` after ``statement``."""
-    done = fresh(
-        f"import json, sys\n{statement}\n"
-        "print(json.dumps(sorted({n.split('.')[0] for n in sys.modules})))"
-    )
-    return set(json.loads(done.stdout.strip().splitlines()[-1]))
+    return roots(modules_loaded_by(statement))
+
+
+def cli_modules(*argv: str) -> tuple[int, set[str], str]:
+    """(exit code, modules loaded, stdout) of one CLI command."""
+    lines = fresh(CLI_PROBE.format(argv=list(argv))).stdout.strip().splitlines()
+    probe = json.loads(lines[-1])
+    return probe["code"], set(probe["modules"]), "\n".join(lines[:-1])
 
 
 def cli(*argv: str) -> tuple[int, set[str], str]:
     """(exit code, top-level packages loaded, stdout) of one CLI command."""
-    lines = fresh(CLI_PROBE.format(argv=list(argv))).stdout.strip().splitlines()
-    probe = json.loads(lines[-1])
-    return probe["code"], set(probe["roots"]), "\n".join(lines[:-1])
+    code, modules, out = cli_modules(*argv)
+    return code, roots(modules), out
+
+
+def closed_port() -> int:
+    """A local port that nothing listens on any more."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 @pytest.fixture(scope="module")
@@ -124,12 +148,9 @@ class TestImportBudget:
         assert "numpy" not in loaded
 
     def test_remote_client_loads_no_numpy(self):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
         # Nothing listens on the port any more: the client reports a usage error.
         code, loaded, _ = cli(
-            "remote", "list", "--json", "--url", f"http://127.0.0.1:{port}",
+            "remote", "list", "--json", "--url", f"http://127.0.0.1:{closed_port()}",
             "--timeout", "5",
         )
         assert code == 2
@@ -153,6 +174,49 @@ class TestImportBudget:
             "assert len(campaign_suite(seed=0)) == 3"
         )
         assert "scipy" not in loaded
+
+
+class TestModuleBudget:
+    """Module by module: each cold command loads only the layers it runs."""
+
+    def test_import_cli_loads_no_telemetry(self):
+        assert not within(modules_loaded_by("import repro.cli"), "repro.telemetry")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("campaign", "list", "--json"),
+            ("report", "summary", "--json"),
+            ("monitor", "status", "--json"),
+        ],
+    )
+    def test_store_readers_load_no_telemetry(self, tiny_store, argv):
+        code, modules, _ = cli_modules(*argv, "--store", tiny_store)
+        assert code == 0
+        assert not within(modules, "repro.telemetry")
+
+    def test_remote_client_loads_neither_store_nor_stream_nor_telemetry(self):
+        code, modules, _ = cli_modules(
+            "remote", "list", "--json", "--url", f"http://127.0.0.1:{closed_port()}",
+            "--timeout", "5",
+        )
+        assert code == 2
+        assert "repro.serve.client" in modules
+        for package in ("repro.campaigns.store", "repro.serve.stream", "repro.telemetry"):
+            assert not within(modules, package), package
+
+    def test_a_cold_traced_run_still_writes_its_trace(self, tmp_path):
+        trace_dir = tmp_path / "trace"
+        code, modules, out = cli_modules(
+            "run", "--trace-out", str(trace_dir), "--json", "--quiet",
+            "--dataset", "adult_like", "--initial-size", "40", "--validation-size", "40",
+            "--epochs", "5", "--curve-points", "3", "--budget", "120", "--method", "moderate",
+        )
+        assert code == 0
+        assert json.loads(out)["schema"] == "repro.run/1"
+        assert "repro.telemetry" in modules
+        assert (trace_dir / "spans.jsonl").stat().st_size > 0
+        assert json.loads((trace_dir / "metrics.json").read_text())
 
 
 class TestLazyPublicApi:
